@@ -388,9 +388,13 @@ class SupervisorPool:
             with self._lock:
                 closed = self._closed
                 drain = closed and getattr(self, "_drain_on_close", False)
-                # Start queued tasks while there is capacity.
+                # Start queued tasks while there is capacity.  The popped
+                # tasks join _active only once their processes are up, so
+                # they count against the capacity here.
                 started_tasks = []
-                while (self._pending and len(self._active) < self.parallelism
+                while (self._pending
+                       and len(self._active) + len(started_tasks)
+                       < self.parallelism
                        and (not closed or drain)):
                     _, _, task = heapq.heappop(self._pending)
                     self._queued_ids.discard(task.task_id)

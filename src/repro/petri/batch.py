@@ -52,8 +52,8 @@ from repro.petri.compiled import (
 from repro.petri.reachability import ReachabilityGraph
 from repro.utils import faults as _faults
 
-#: Cap on the transient pair matrix of the vectorised persistence scan.
-_PAIR_BLOCK = 1 << 20
+#: Cap (in edges) on one state-aligned block of the persistence scan.
+_SCAN_BLOCK = 1 << 20
 
 _WORD_MASK = (1 << 64) - 1
 
@@ -200,6 +200,52 @@ class WordTables:
             return None
         bit = mask.bit_length() - 1
         return bit // 64, _np.uint64(1 << (bit % 64))
+
+    def disables(self, allow_conflicts):
+        """Packed "firing ``t1`` disables ``t2``" sets over transitions.
+
+        Row ``t1`` of the ``(transitions, transition words)`` uint64 table
+        has bit ``t2`` set when ``need[t2] & consume[t1] & ~produce[t1]`` is
+        nonzero.  On a 1-safe net fired as ``(s & ~consume) | produce``
+        every ``t2`` enabled at ``s`` has ``need[t2]`` inside ``s``, so that
+        test decides, for every state enabling both, whether ``t2`` is
+        still enabled after ``t1`` -- it depends on the pair alone.  The
+        diagonal is clear, and with *allow_conflicts* so are pairs that
+        consume a common place.
+        """
+        lost = _place_flags(self.consume & ~self.produce)
+        hits = lost @ _place_flags(self.need).T > 0
+        if allow_conflicts:
+            consume = _place_flags(self.consume)
+            hits &= consume @ consume.T == 0
+        _np.fill_diagonal(hits, False)
+        return _pack_bits(hits)
+
+
+#: Set bits per byte value: the popcount table of the persistence scan.
+_POPCOUNT8 = _np.asarray([bin(b).count("1") for b in range(256)],
+                         dtype=_np.uint8) if _np is not None else None
+
+
+def _place_flags(masks):
+    """Unpack ``(n, words)`` uint64 place masks into a 0/1 float32 matrix.
+
+    Float, so that products of two such matrices count shared places.
+    """
+    return _np.unpackbits(masks.astype("<u8").view(_np.uint8), axis=1,
+                          bitorder="little").astype(_np.float32)
+
+
+def _pack_bits(flags):
+    """Pack a ``(n, m)`` bool matrix into ``(n, ceil(m / 64))`` uint64 words.
+
+    Column ``j`` becomes bit ``j % 64`` of word ``j // 64``.
+    """
+    padded = _np.zeros((len(flags), -(-flags.shape[1] // 64) * 64),
+                       dtype=bool)
+    padded[:, :flags.shape[1]] = flags
+    return _np.packbits(padded, axis=1, bitorder="little").view(
+        "<u8").astype(_np.uint64)
 
 
 def _group_arange(counts):
@@ -690,76 +736,75 @@ class ColumnarReachabilityGraph(CompiledReachabilityGraph):
         return self.count_and_collect_rows(matches, max_witnesses)
 
     def persistence_scan(self, allow_conflicts=True, max_witnesses=5):
-        """The persistence scan of the compiled graph, vectorised.
+        """The persistence scan of the compiled graph, in O(edges).
 
         Identical contract and witness order: states in discovery order, the
         fired/disabled pair loops in edge order, frontier states skipped.
-        Pair matrices are built in bounded blocks so a dense level cannot
-        blow the transient memory up.
+        Whether firing ``t1`` disables ``t2`` is decided once per transition
+        pair (:meth:`WordTables.disables`), so each edge ``(s, t1)`` only
+        counts the bits of ``disables[t1]`` that are also in the set of
+        transitions enabled at ``s`` (the OR of ``s``'s edge bits).  Edges
+        are walked in state-aligned blocks of at most ``_SCAN_BLOCK``, which
+        bounds the transient memory and reads spilled edge data in order.
         """
-        tables = self.tables
-        words = self._words
+        disables = self.tables.disables(allow_conflicts)
+        transition_bit = _pack_bits(_np.eye(len(disables), dtype=bool))
         data = self._edge_data
         offsets = self._edge_offsets
-        degrees = _np.diff(offsets)
-        eligible = degrees >= 2
-        if len(self._frontier_arr):
-            eligible[self._frontier_arr] = False
-        candidates = _np.where(eligible)[0]
-        if not len(candidates):
-            return 0, []
+        skipped = _np.zeros(len(self), dtype=bool)
+        skipped[self._frontier_arr] = True
         violations = 0
-        witnesses = []
+        hits = []
+        first = 0
+        while first < len(self):
+            low = int(offsets[first])
+            stop = int(_np.searchsorted(offsets, low + _SCAN_BLOCK,
+                                        side="right")) - 1
+            stop = min(max(stop, first + 1), len(self))
+            high = int(offsets[stop])
+            degree = _np.diff(offsets[first:stop + 1])
+            nonempty = degree > 0
+            starts = offsets[first:stop][nonempty] - low
+            transition = _np.asarray(data[low:high]) & 0xFFFF
+            hit = _np.zeros(high - low, dtype=bool)
+            for w in range(disables.shape[1] if high > low else 0):
+                # Transitions enabled per state: the OR of its edge bits.
+                enabled = _np.bitwise_or.reduceat(
+                    transition_bit[:, w][transition], starts)
+                enabled[skipped[first:stop][nonempty]] = 0
+                lost = (_np.repeat(enabled, degree[nonempty])
+                        & disables[:, w][transition])
+                flags = lost != 0
+                violations += int(_POPCOUNT8[lost[flags].view(_np.uint8)]
+                                  .sum())
+                hit |= flags
+            if len(hits) < max_witnesses:
+                hits.extend((low + _np.where(hit)[0][:max_witnesses])
+                            .tolist())
+            first = stop
+        return violations, self._persistence_witnesses(
+            disables, hits, max_witnesses)
+
+    def _persistence_witnesses(self, disables, edges, max_witnesses):
+        """Witness dicts of the violating *edges*, in the compiled order."""
         names = self.compiled.transition_names
-        pair_counts = (degrees[candidates] * degrees[candidates]).astype(
-            _np.int64)
-        boundaries = _np.cumsum(pair_counts)
-        start = 0
-        while start < len(candidates):
-            base = int(boundaries[start - 1]) if start else 0
-            stop = start + 1
-            while (stop < len(candidates)
-                   and int(boundaries[stop]) - base <= _PAIR_BLOCK):
-                stop += 1
-            block = candidates[start:stop]
-            degree = degrees[block]
-            counts = (degree * degree).astype(_np.int64)
-            state_rep = _np.repeat(block, counts)
-            start_rep = _np.repeat(offsets[block], counts)
-            degree_rep = _np.repeat(degree, counts)
-            pair = _group_arange(counts)
-            first = pair // degree_rep
-            second = pair % degree_rep
-            edge_one = data[start_rep + first]
-            edge_two = data[start_rep + second]
-            fired = (edge_one & 0xFFFF).astype(_np.int64)
-            other = (edge_two & 0xFFFF).astype(_np.int64)
-            keep = fired != other
-            if allow_conflicts:
-                conflict = _np.zeros(len(keep), dtype=bool)
-                for w in range(tables.words):
-                    conflict |= (tables.consume[fired, w]
-                                 & tables.consume[other, w]) != 0
-                keep &= ~conflict
-            after = (edge_one >> 16)[keep]
-            other_kept = other[keep]
-            disabled = _np.zeros(len(other_kept), dtype=bool)
-            for w in range(tables.words):
-                need_w = tables.need[other_kept, w]
-                disabled |= (words[after, w] & need_w) != need_w
-            violations += int(disabled.sum())
-            if len(witnesses) < max_witnesses:
-                hits = _np.where(disabled)[0]
-                kept_positions = _np.where(keep)[0]
-                for hit in hits[:max_witnesses - len(witnesses)]:
-                    position = int(kept_positions[hit])
+        data = self._edge_data
+        offsets = self._edge_offsets
+        witnesses = []
+        for edge in edges:
+            state = int(_np.searchsorted(offsets, edge, side="right")) - 1
+            fired = int(data[edge]) & 0xFFFF
+            for packed in data[offsets[state]:offsets[state + 1]].tolist():
+                other = packed & 0xFFFF
+                if int(disables[fired, other >> 6]) >> (other & 63) & 1:
+                    if len(witnesses) == max_witnesses:
+                        return witnesses
                     witnesses.append({
-                        "marking": self._marking_at(int(state_rep[position])),
-                        "fired": names[int(fired[position])],
-                        "disabled": names[int(other[position])],
+                        "marking": self._marking_at(state),
+                        "fired": names[fired],
+                        "disabled": names[other],
                     })
-            start = stop
-        return violations, witnesses
+        return witnesses
 
 
 def compile_row_predicate(expression, word_bit_of):

@@ -8,6 +8,7 @@ hits must equal cold derivations element for element.
 """
 
 import os
+import threading
 import time
 
 import pytest
@@ -19,7 +20,11 @@ from repro.dfs.translation import to_petri_net
 from repro.exceptions import ConfigurationError, VerificationError
 from repro.parallel.context import mp_context, start_method
 from repro.parallel.sharded import explore_sharded, shard_of
-from repro.parallel.supervisor import TaskOutcome, run_supervised
+from repro.parallel.supervisor import (
+    SupervisorPool,
+    TaskOutcome,
+    run_supervised,
+)
 from repro.petri.compiled import CompiledNet, explore_compiled
 from repro.petri.fingerprint import net_fingerprint, options_digest
 from repro.petri.invariants import (
@@ -248,6 +253,11 @@ def _crashing_task():
     os._exit(17)
 
 
+def _gated_task(release):
+    release.wait()
+    return "released"
+
+
 class TestSupervisor:
     def test_runs_tasks_and_returns_payloads_in_order(self):
         outcomes = run_supervised(
@@ -291,6 +301,44 @@ class TestSupervisor:
         with pytest.raises(ConfigurationError):
             run_supervised([("x", _quick_task, (1,)), ("x", _quick_task, (2,))],
                            parallelism=0)
+
+    def test_pool_never_runs_more_than_its_parallelism(self):
+        pool = SupervisorPool(parallelism=2, timeout=120)
+        release = pool.context.Event()
+        all_submitted = threading.Event()
+        two_running = threading.Event()
+        all_done = threading.Event()
+        running_at_start = []
+        outcomes = []
+
+        def on_start(task_id):
+            # The supervision thread calls this right after a task joins
+            # the active set; the first call holds the thread until every
+            # task is queued, so the next dispatch pass sees all of them.
+            all_submitted.wait(60)
+            running_at_start.append(pool.running)
+            if len(running_at_start) == 2:
+                two_running.set()
+
+        def on_outcome(outcome):
+            outcomes.append(outcome)
+            if len(outcomes) == 10:
+                all_done.set()
+
+        try:
+            for index in range(10):
+                pool.submit("task-{}".format(index), _gated_task, (release,),
+                            on_start=on_start, on_outcome=on_outcome)
+            all_submitted.set()
+            assert two_running.wait(60)
+            release.set()
+            assert all_done.wait(120)
+        finally:
+            release.set()
+            pool.shutdown()
+        assert max(running_at_start) <= 2, running_at_start
+        assert len(running_at_start) == 10
+        assert [outcome.status for outcome in outcomes] == ["ok"] * 10
 
     def test_outcome_repr_and_start_method(self):
         assert "cancelled" in repr(TaskOutcome("t", "cancelled"))

@@ -8,6 +8,8 @@ and the columnar fast paths must answer every property/Reach query with
 the same verdicts and witnesses as the pure-int graph.
 """
 
+import random
+
 import pytest
 
 np = pytest.importorskip("numpy")
@@ -51,6 +53,7 @@ from repro.petri.properties import (
     check_persistence,
 )
 from repro.petri.reachability import build_reachability_graph
+from repro.petri.storage import SpillConfig
 from repro.reach.evaluator import find_witnesses, holds_somewhere
 
 
@@ -184,6 +187,115 @@ class TestDifferentialExamples:
         compiled = CompiledNet.compile(net)
         with pytest.raises(SafenessOverflowError):
             explore_batch(compiled)
+
+
+def random_safe_net(seed):
+    """A seeded 1-safe net with read arcs and consume/produce self-loops.
+
+    Places form 2-4 cyclic components holding one token each.  Every place
+    has a step transition to the next place of its component; extra
+    transitions move the tokens of one or two components at once, possibly
+    back to the place they came from (a self-loop).  Any transition may
+    also read places of components it does not move.  Each component keeps
+    exactly one token, so the net is 1-safe by construction.
+    """
+    rng = random.Random(seed)
+    net = PetriNet("random-{}".format(seed))
+    components = []
+    for c in range(rng.randint(2, 4)):
+        size = rng.randint(2, 4)
+        marked = rng.randrange(size)
+        names = ["c{}_{}".format(c, i) for i in range(size)]
+        for i, name in enumerate(names):
+            net.add_place(name, tokens=int(i == marked))
+        components.append(names)
+    moves = [[(c, i, (i + 1) % len(names))]
+             for c, names in enumerate(components) for i in range(len(names))]
+    for _ in range(rng.randint(2, 5)):
+        moved = rng.sample(range(len(components)), rng.randint(1, 2))
+        moves.append([(c, rng.randrange(len(components[c])),
+                       rng.randrange(len(components[c]))) for c in moved])
+    for t, move in enumerate(moves):
+        name = "t{}".format(t)
+        net.add_transition(name)
+        for c, source, target in move:
+            net.add_arc(components[c][source], name)
+            net.add_arc(name, components[c][target])
+        moved = {c for c, _, _ in move}
+        others = [place for c, names in enumerate(components)
+                  if c not in moved for place in names]
+        if others and rng.random() < 0.4:
+            net.add_read_arc(rng.choice(others), name)
+    return net
+
+
+PERSISTENCE_NETS = EXAMPLE_MODELS + [
+    pytest.param(lambda seed=seed: random_safe_net(seed),
+                 id="random-{}".format(seed))
+    for seed in range(40)
+]
+
+
+class TestPersistenceScanDifferential:
+    """The O(edges) columnar scan against the compiled engine's pair loop.
+
+    The compiled scan fires every (state, t1, t2) pair on real successor
+    states, so it is an independent oracle for the static disable table.
+    """
+
+    @staticmethod
+    def _net(model):
+        built = model()
+        return built if isinstance(built, PetriNet) else to_petri_net(built)
+
+    @staticmethod
+    def _assert_same_scans(sequential, batch, tag):
+        for allow_conflicts in (True, False):
+            for max_witnesses in (5, 1000):
+                expected = sequential.persistence_scan(
+                    allow_conflicts=allow_conflicts,
+                    max_witnesses=max_witnesses)
+                actual = batch.persistence_scan(
+                    allow_conflicts=allow_conflicts,
+                    max_witnesses=max_witnesses)
+                assert actual == expected, (tag, allow_conflicts,
+                                            max_witnesses)
+
+    @pytest.mark.parametrize("block", [None, 1, 3])
+    @pytest.mark.parametrize("model", PERSISTENCE_NETS)
+    def test_counts_and_witnesses_match_compiled(self, model, block,
+                                                 monkeypatch):
+        import repro.petri.batch as batch_module
+        if block is not None:
+            monkeypatch.setattr(batch_module, "_SCAN_BLOCK", block)
+        compiled = CompiledNet.compile(self._net(model))
+        for max_states in (1, 2, 5, 17, 100, 200000):
+            sequential = explore_compiled(compiled, max_states=max_states)
+            batch = explore_batch(compiled, max_states=max_states)
+            self._assert_same_scans(sequential, batch,
+                                    "max_states={}".format(max_states))
+
+    def test_generated_family_has_violations(self):
+        """The generated nets must exercise the violating path too."""
+        violating = sum(
+            1 for seed in range(40)
+            if explore_batch(CompiledNet.compile(random_safe_net(seed)))
+            .persistence_scan()[0])
+        assert violating >= 10
+
+    def test_spilled_graph(self, tmp_path, monkeypatch):
+        import repro.petri.batch as batch_module
+        monkeypatch.setattr(batch_module, "_SCAN_BLOCK", 3)
+        compiled = CompiledNet.compile(
+            to_petri_net(token_ring(registers=5, tokens=2)))
+        sequential = explore_compiled(compiled)
+        spilled = explore_batch(compiled, spill=SpillConfig(str(tmp_path), 64))
+        try:
+            assert spilled.exploration_stats["spill"]["spilled"]
+            assert sequential.persistence_scan()[0] > 0
+            self._assert_same_scans(sequential, spilled, "spilled")
+        finally:
+            spilled.close()
 
 
 class TestEngineSelection:
