@@ -21,8 +21,11 @@ Architecture
   optional NumPy extra is importable (:class:`_BatchShardWorker`, built on
   the primitives of :mod:`repro.petri.batch`, including a vectorised
   :func:`shard_of` over whole successor batches); without NumPy the
-  pure-int backend (:class:`_IntShardWorker`) runs the same wire protocol,
-  so the two interoperate and produce identical graphs.
+  pure-int backend (:class:`_IntShardWorker`) runs the same level
+  protocol and produces identical graphs.  All workers of one run use one
+  backend, because the relayed successor records differ: the pure-int
+  record carries the parent's enabled mask for its watch-list update, the
+  NumPy record does not.
 * **Cross-shard successors stream in chunks within a level.**  Expanding a
   level, a worker resolves own-shard successors against its local index and
   ships every foreign successor to that successor's owner.  Instead of one
@@ -183,7 +186,6 @@ class _ShardWorkerBase:
         self.memo_size = memo_size
         self.chunk_states = max(1, int(chunk_states))
         self.row_width = _state_row_width(tables.place_count)
-        self.mask_width = (tables.transition_count + 7) // 8
         self.shipped_history = deque()
         self.finals_received = 0
         self.level_memo_hits = 0
@@ -285,7 +287,9 @@ class _IntShardWorker(_ShardWorkerBase):
     batches per foreign shard, one resolution stream per requesting shard,
     and the list of its newly discovered (pending) states with
     min-provenance -- see the module docstring for how the coordinator
-    stitches these together.
+    stitches these together.  A relay record is the successor's row, the
+    parent's enabled mask (``mask_width`` bytes) and the provenance, all
+    little-endian.
     """
 
     def __init__(self, connection, tables, worker_id, workers, memo_size,
@@ -293,6 +297,7 @@ class _IntShardWorker(_ShardWorkerBase):
         super().__init__(connection, tables, worker_id, workers, memo_size,
                          chunk_states)
         self.pairs = expand_watch_pairs(tables.need, tables.affected)
+        self.mask_width = (tables.transition_count + 7) // 8
         self.local_index = {}   # own-shard state -> global index
         self.pending = {}       # own-shard state -> pending id (this level)
         self.records = []       # pending id -> (state, parent_mask, transition)
@@ -517,11 +522,15 @@ class _IntShardWorker(_ShardWorkerBase):
 class _BatchShardWorker(_ShardWorkerBase):
     """One shard on the NumPy backend: whole-chunk vectorised expansion.
 
-    The same wire protocol as :class:`_IntShardWorker`, produced with the
-    array primitives of :mod:`repro.petri.batch`: broadcast firing over the
-    chunk, vectorised :func:`shard_of` routing, sort-based dedup of new
-    own-shard states, hash-probed local/pending/memo indices, and
-    ``tobytes`` serialisation of outboxes, edge streams and candidates.
+    The same level protocol as :class:`_IntShardWorker`, produced with
+    the array primitives of :mod:`repro.petri.batch`: lookup-table
+    enabledness and broadcast firing over the chunk, vectorised
+    :func:`shard_of` routing, sort-based dedup of new own-shard states,
+    hash-probed local/pending/memo indices, and ``tobytes`` serialisation
+    of outboxes, edge streams and candidates.  A relay record is the
+    successor's row words followed by its provenance, all little-endian
+    uint64; no enabled mask travels, since every chunk's enabledness is
+    computed from its rows.
     """
 
     def __init__(self, connection, tables, worker_id, workers, memo_size,
@@ -533,8 +542,7 @@ class _BatchShardWorker(_ShardWorkerBase):
         self._n = numpy
         self._b = batch
         self.word_tables = batch.WordTables.from_raw(
-            tables.need, tables.consume, tables.produce, tables.affected,
-            tables.place_count)
+            tables.need, tables.consume, tables.produce, tables.place_count)
         words = self.word_tables.words
         self.words = words
         self.local_rows = numpy.zeros((256, words), dtype=numpy.uint64)
@@ -543,8 +551,6 @@ class _BatchShardWorker(_ShardWorkerBase):
         self.local_keys = numpy.empty(0, dtype=numpy.uint64)
         self.local_pos = numpy.empty(0, dtype=numpy.int64)
         self.exp_rows = numpy.empty((0, words), dtype=numpy.uint64)
-        self.exp_enabled = numpy.empty((0, tables.transition_count),
-                                       dtype=bool)
         self.exp_global = numpy.empty(0, dtype=numpy.int64)
         self.memo_rows = numpy.empty((0, words), dtype=numpy.uint64)
         self.memo_idx = numpy.empty(0, dtype=numpy.int64)
@@ -561,8 +567,6 @@ class _BatchShardWorker(_ShardWorkerBase):
         n = self._n
         words = self.words
         self.pend_rows = n.zeros((64, words), dtype=n.uint64)
-        self.pend_masks = n.zeros((64, self.mask_width), dtype=n.uint8)
-        self.pend_fired = n.zeros(64, dtype=n.int64)
         self.pend_prov = n.zeros(64, dtype=n.int64)
         self.pend_count = 0
         self.pend_keys = n.empty(0, dtype=n.uint64)
@@ -585,23 +589,17 @@ class _BatchShardWorker(_ShardWorkerBase):
             n.arange(count, needed, dtype=n.int64))
         self.local_count = needed
 
-    def _append_pending(self, rows, hashes, masks, fired, provenance):
+    def _append_pending(self, rows, hashes, provenance):
         n = self._n
         count = self.pend_count
         needed = count + len(rows)
         while needed > len(self.pend_rows):
             self.pend_rows = n.concatenate(
                 [self.pend_rows, n.zeros_like(self.pend_rows)])
-            self.pend_masks = n.concatenate(
-                [self.pend_masks, n.zeros_like(self.pend_masks)])
-            self.pend_fired = n.concatenate(
-                [self.pend_fired, n.zeros_like(self.pend_fired)])
             self.pend_prov = n.concatenate(
                 [self.pend_prov, n.zeros_like(self.pend_prov)])
         identifiers = n.arange(count, needed, dtype=n.int64)
         self.pend_rows[count:needed] = rows
-        self.pend_masks[count:needed] = masks
-        self.pend_fired[count:needed] = fired
         self.pend_prov[count:needed] = provenance
         self.pend_keys, self.pend_pos = self._b.merge_sorted_index(
             self.pend_keys, self.pend_pos, hashes, identifiers)
@@ -616,34 +614,18 @@ class _BatchShardWorker(_ShardWorkerBase):
                         dtype=n.uint64)
         self._insert_local(row, n.zeros(1, dtype=n.int64))
         self.exp_rows = row
-        self.exp_enabled = self.word_tables.enabled_matrix(row)
         self.exp_global = n.zeros(1, dtype=n.int64)
 
     def _apply_assignments(self, payload):
         n = self._n
         assigned = n.frombuffer(bytes(payload), dtype="<i8")
-        transition_count = self.tables.transition_count
-        if len(assigned):
-            admitted = n.flatnonzero(assigned >= 0)
-            admitted = admitted[n.argsort(assigned[admitted])]
-            global_indices = assigned[admitted].astype(n.int64)
-            rows = n.ascontiguousarray(
-                self.pend_rows[:self.pend_count][admitted])
-            enabled = self._b.unpack_mask_rows(
-                self.pend_masks[:self.pend_count][admitted],
-                transition_count).astype(bool)
-            if len(admitted):
-                self._b.refresh_enabled(
-                    self.word_tables, enabled, rows,
-                    self.pend_fired[:self.pend_count][admitted])
-                self._insert_local(rows, global_indices)
-            self.exp_rows = rows
-            self.exp_enabled = enabled
-            self.exp_global = global_indices
-        else:
-            self.exp_rows = n.empty((0, self.words), dtype=n.uint64)
-            self.exp_enabled = n.empty((0, transition_count), dtype=bool)
-            self.exp_global = n.empty(0, dtype=n.int64)
+        admitted = n.flatnonzero(assigned >= 0)
+        admitted = admitted[n.argsort(assigned[admitted])]
+        self.exp_global = assigned[admitted].astype(n.int64)
+        self.exp_rows = n.ascontiguousarray(
+            self.pend_rows[:self.pend_count][admitted])
+        if len(admitted):
+            self._insert_local(self.exp_rows, self.exp_global)
         self._reset_pending()
 
     def _apply_memo(self, payload):
@@ -714,10 +696,9 @@ class _BatchShardWorker(_ShardWorkerBase):
         worker_id = self.worker_id
         transition_count = self.tables.transition_count
         rows = self.exp_rows[start:stop]
-        enabled = self.exp_enabled[start:stop]
         global_indices = self.exp_global[start:stop]
         outboxes = [b""] * workers
-        flat = n.flatnonzero(enabled)
+        flat = n.flatnonzero(tables.enabled_matrix(rows))
         self.count_chunks.append(
             n.bincount(flat // transition_count, minlength=stop - start))
         if not len(flat):
@@ -758,15 +739,9 @@ class _BatchShardWorker(_ShardWorkerBase):
                         self.pend_prov[identifiers], group_prov[hit])
                 fresh = n.flatnonzero(~hit)
                 if len(fresh):
-                    fresh_prov = group_prov[fresh]
-                    # The min-provenance parent is in this level's
-                    # expansion; its enabled row is the shipped mask.
-                    parent_pos = n.searchsorted(self.exp_global,
-                                                fresh_prov >> 16)
                     group_pending[fresh] = self._append_pending(
                         group_rows[fresh], group_hashes[fresh],
-                        b.pack_mask_rows(self.exp_enabled[parent_pos]),
-                        fresh_prov & 0xFFFF, fresh_prov)
+                        group_prov[fresh])
                 occurrence = n.empty(len(unknown_positions), dtype=n.int64)
                 occurrence[order] = group_pending[group_of_sorted]
                 self.stream_chunks[worker_id].append(-occurrence - 1)
@@ -800,17 +775,11 @@ class _BatchShardWorker(_ShardWorkerBase):
                 miss_rows = foreign_rows[~hit]
                 if self.memo_size:
                     self.shipped.append(miss_rows)
-                record_width = self.row_width + self.mask_width + 8
-                record = n.empty((len(miss_positions), record_width),
-                                 dtype=n.uint8)
-                record[:, :self.row_width] = n.ascontiguousarray(
-                    miss_rows.astype("<u8", copy=False)).view(
-                        n.uint8).reshape(len(miss_positions), -1)
-                record[:, self.row_width:self.row_width + self.mask_width] = \
-                    b.pack_mask_rows(enabled[source_local[miss_positions]])
-                record[:, record_width - 8:] = n.ascontiguousarray(
-                    provenance[miss_positions].astype("<u8")).view(
-                        n.uint8).reshape(len(miss_positions), 8)
+                # Relay records: the row's words, then its provenance.
+                record = n.empty((len(miss_positions), words + 1),
+                                 dtype="<u8")
+                record[:, :words] = miss_rows
+                record[:, words] = provenance[miss_positions]
                 dest_order = n.argsort(miss_owner, kind="stable")
                 sorted_owner = miss_owner[dest_order]
                 bounds = n.searchsorted(
@@ -826,14 +795,11 @@ class _BatchShardWorker(_ShardWorkerBase):
         n = self._n
         b = self._b
         words = self.words
-        record_width = self.row_width + self.mask_width + 8
-        buf = n.frombuffer(bytes(payload), dtype=n.uint8)
-        count = len(buf) // record_width
-        buf = buf.reshape(count, record_width)
-        rows = n.ascontiguousarray(buf[:, :self.row_width]).view(
-            "<u8").reshape(count, words).astype(n.uint64)
-        provenance = n.ascontiguousarray(buf[:, record_width - 8:]).view(
-            "<u8").reshape(count).astype(n.int64)
+        record = n.frombuffer(bytes(payload), dtype="<u8").reshape(
+            -1, words + 1)
+        count = len(record)
+        rows = record[:, :words].astype(n.uint64)
+        provenance = record[:, words].astype(n.int64)
         hashes = self.word_tables.hash_rows(rows)
         stream = n.empty(count, dtype=n.int64)
         local_hit = b._probe_rows(self.local_keys, self.local_pos,
@@ -844,15 +810,9 @@ class _BatchShardWorker(_ShardWorkerBase):
         if len(unknown):
             unknown_rows = rows[unknown]
             unknown_hashes = hashes[unknown]
-            unknown_prov = provenance[unknown]
-            # The representative of each group must be one occurrence (its
-            # shipped parent mask has to pair with its own provenance), so
-            # dedup with the min-provenance occurrence as the head.
-            order, group_of_sorted, heads = b.dedup_rows_argmin(
-                unknown_rows, unknown_hashes, unknown_prov, words)
-            group_rows = unknown_rows[heads]
-            group_hashes = unknown_hashes[heads]
-            group_prov = unknown_prov[heads]
+            (order, group_of_sorted, group_rows, group_hashes,
+             group_prov) = b.dedup_rows(unknown_rows, unknown_hashes,
+                                        provenance[unknown], words)
             group_pending = b._probe_rows(
                 self.pend_keys, self.pend_pos, self.pend_rows,
                 group_rows, group_hashes, words)
@@ -863,12 +823,8 @@ class _BatchShardWorker(_ShardWorkerBase):
                     self.pend_prov[identifiers], group_prov[hit])
             fresh = n.flatnonzero(~hit)
             if len(fresh):
-                head_records = unknown[heads[fresh]]
-                masks = buf[head_records,
-                            self.row_width:self.row_width + self.mask_width]
                 group_pending[fresh] = self._append_pending(
-                    group_rows[fresh], group_hashes[fresh], masks,
-                    group_prov[fresh] & 0xFFFF, group_prov[fresh])
+                    group_rows[fresh], group_hashes[fresh], group_prov[fresh])
             occurrence = n.empty(len(unknown), dtype=n.int64)
             occurrence[order] = group_pending[group_of_sorted]
             stream[unknown] = -occurrence - 1
@@ -901,7 +857,12 @@ class _BatchShardWorker(_ShardWorkerBase):
 
 
 def _shard_worker_main(connection, tables, worker_id, workers, memo_size,
-                       chunk_states, batch):
+                       chunk_states, batch, inherited):
+    # A forked worker holds copies of the coordinator's pipe ends; closed
+    # here, the coordinator's death reads as EOF instead of a pipe kept
+    # open by the workers themselves.
+    for end in inherited:
+        end.close()
     try:
         worker_class = _IntShardWorker
         if batch is not False:
@@ -1021,15 +982,17 @@ def explore_sharded(compiled, marking=None, max_states=200000, workers=None,
     initial_state = compiled.encode(initial)
 
     context = mp_context()
+    forked = context.get_start_method() == "fork"
     tables = _ShardTables(compiled)
     connections = []
     processes = []
     for worker_id in range(workers):
         parent_end, child_end = context.Pipe()
+        inherited = connections + [parent_end] if forked else []
         process = context.Process(
             target=_shard_worker_main,
             args=(child_end, tables, worker_id, workers, memo_size,
-                  chunk_states, batch), daemon=True)
+                  chunk_states, batch, inherited), daemon=True)
         process.start()
         child_end.close()
         connections.append(parent_end)
@@ -1594,8 +1557,8 @@ def _drive(compiled, initial_state, max_states, workers, connections, sender,
     from time import perf_counter
 
     #: Per-phase second counters, attached as ``exploration_stats``
-    #: ``phases`` and printed when REPRO_SHARD_TIMING is set: wait
-    #: (receiving/relaying), admit (phase 2), merge (phase 4).
+    #: ``phases``: wait (receiving/relaying), admit (phase 2), merge
+    #: (phase 4).
     timing = {"wait": 0.0, "admit": 0.0, "merge": 0.0}
 
     place_names = compiled.place_names
@@ -1719,10 +1682,6 @@ def _drive(compiled, initial_state, max_states, workers, connections, sender,
                 os.kill(os.getpid(), signal.SIGKILL)
             merger.record_checkpoint(exchange_stats["levels"])
 
-        if os.environ.get("REPRO_SHARD_TIMING"):
-            import sys
-            print("sharded coordinator: wait {wait:.2f}s admit {admit:.2f}s "
-                  "merge {merge:.2f}s".format(**timing), file=sys.stderr)
         return merger.finish(exchange_stats, timing)
     except BaseException:
         # Exploration died mid-level: release the merger's stores (and

@@ -8,10 +8,14 @@ bulk engines do: the *entire BFS frontier* is expanded per step.
 * Markings are rows of a ``uint64`` matrix -- nets wider than 64 places span
   multiple words (place ``i`` lives in word ``i // 64``, bit ``i % 64``).
 * The per-transition ``need`` / ``consume`` / ``produce`` bitmasks of the
-  compiled net are precompiled into ``(transitions, words)`` arrays.
-* One level of BFS is: a broadcast compare for enabledness, a bulk
-  mask-and-or firing, a lexicographic sort for intra-level dedup, and a
-  ``searchsorted`` probe against the sorted table of known states.
+  compiled net are precompiled into ``(transitions, words)`` arrays, and
+  the ``need`` masks further into one 256-entry lookup table per byte
+  position of a state row they touch.
+* One level of BFS is: enabledness recomputed from the level's rows (one
+  table gather per row byte, ANDed over bytes), a bulk mask-and-or firing,
+  a sort for intra-level dedup, and a ``searchsorted`` probe against the
+  sorted table of known states.  No enabled set is carried from parent to
+  child, so a level needs nothing but its rows.
 * New states are admitted in **provenance order** (``parent << 16 |
   transition``, minimised over all discoverers) up to ``max_states`` --
   exactly the order the sequential BFS first reaches each state, which makes
@@ -47,7 +51,6 @@ from repro.petri.compiled import (
     CompiledNet,
     CompiledReachabilityGraph,
     iter_bits,
-    transition_watch_lists,
 )
 from repro.petri.reachability import ReachabilityGraph
 from repro.utils import faults as _faults
@@ -102,18 +105,17 @@ def words_to_int(row):
 class WordTables:
     """Per-transition bitmask tables of a compiled net as uint64 matrices."""
 
-    __slots__ = ("compiled", "words", "mask_width",
-                 "need", "consume", "keep", "produce", "fire_tab",
-                 "watch_entries")
+    __slots__ = ("compiled", "words", "need", "consume", "keep", "produce",
+                 "fire_tab", "byte_positions", "byte_tables")
 
     def __init__(self, compiled):
         _require_numpy()
         self.compiled = compiled
         self._build(compiled.need, compiled.consume, compiled.produce,
-                    compiled.affected, len(compiled.place_names))
+                    len(compiled.place_names))
 
     @classmethod
-    def from_raw(cls, need, consume, produce, affected, place_count):
+    def from_raw(cls, need, consume, produce, place_count):
         """Build tables from raw mask lists (no :class:`CompiledNet`).
 
         Used by the sharded batch workers, which carry only the picklable
@@ -123,15 +125,12 @@ class WordTables:
         _require_numpy()
         self = cls.__new__(cls)
         self.compiled = None
-        self._build(need, consume, produce, affected, place_count)
+        self._build(need, consume, produce, place_count)
         return self
 
-    def _build(self, need_masks, consume_masks, produce_masks, affected,
-               place_count):
+    def _build(self, need_masks, consume_masks, produce_masks, place_count):
         self.words = max(1, (place_count + 63) // 64)
         transition_count = len(need_masks)
-        #: Bytes of a packed enabled mask (the sharded wire format).
-        self.mask_width = (transition_count + 7) // 8
         shape = (transition_count, self.words)
         self.need = _np.zeros(shape, dtype=_np.uint64)
         self.consume = _np.zeros(shape, dtype=_np.uint64)
@@ -146,21 +145,21 @@ class WordTables:
         # keep and produce side by side, so the firing loop pays one fancy
         # gather per edge batch instead of two.
         self.fire_tab = _np.concatenate([self.keep, self.produce], axis=1)
-        # The shared watch lists of the compiled net (the same
-        # transition_watch_lists the pure-int engines consume through
-        # expand_watch_pairs), expanded per watched transition to its
-        # nonzero need words: after firing ``t`` only ``watch_entries[t]``
-        # needs re-checking, and each check touches only the ~couple of
-        # words the watched transition's preset actually lives in.
-        self.watch_entries = []
-        for watched_list in transition_watch_lists(affected):
-            entries = []
-            for watched in watched_list:
-                needed = tuple(
-                    (w, self.need[watched, w])
-                    for w in range(self.words) if int(self.need[watched, w]))
-                entries.append((watched, needed))
-            self.watch_entries.append(tuple(entries))
+        # Enabledness lookup tables, one per byte position of a state row
+        # that holds a need bit: bit ``t`` of ``byte_tables[k][tw, v]``
+        # (transition word ``tw = t // 64``) is set when byte value ``v``
+        # holds every need bit ``t`` has in byte ``byte_positions[k]``.
+        # Stored transposed, so each lookup is a 1-D gather over 256
+        # entries.
+        need_bytes = _row_bytes(self.need)
+        self.byte_positions = _np.flatnonzero(
+            need_bytes.any(axis=0)).tolist()
+        values = _np.arange(256, dtype=_np.uint8)[:, None]
+        self.byte_tables = []
+        for position in self.byte_positions:
+            needed = need_bytes[:, position]
+            self.byte_tables.append(_np.ascontiguousarray(
+                _pack_bits((values & needed) == needed).T))
 
     def encode_rows(self, states):
         """Pack an iterable of int states into a ``(n, words)`` matrix."""
@@ -186,12 +185,26 @@ class WordTables:
         return mixed
 
     def enabled_matrix(self, rows):
-        """Full-scan enabledness of *rows*: a ``(n, transitions)`` matrix."""
-        enabled = _np.ones((len(rows), len(self.need)), dtype=bool)
-        for w in range(self.words):
-            need_w = self.need[:, w]
-            enabled &= (rows[:, w:w + 1] & need_w) == need_w
-        return enabled
+        """Full-scan enabledness of *rows*: a ``(n, transitions)`` matrix.
+
+        Per transition word, the AND over the lookup tables of the row
+        bytes they cover; transitions with an empty preset stay enabled.
+        """
+        transition_count = len(self.need)
+        packed = _np.empty((len(rows), -(-transition_count // 64)),
+                           dtype="<u8")
+        row_bytes = _row_bytes(rows)
+        hit = _np.empty(len(rows), dtype=_np.uint64)
+        for tw in range(packed.shape[1]):
+            word = _np.full(len(rows), _WORD_MASK, dtype=_np.uint64)
+            for position, table in zip(self.byte_positions,
+                                       self.byte_tables):
+                _np.take(table[tw], row_bytes[:, position], out=hit)
+                word &= hit
+            packed[:, tw] = word
+        return _np.unpackbits(packed.view(_np.uint8), axis=1,
+                              count=transition_count,
+                              bitorder="little").view(bool)
 
     def word_bit_of(self, place):
         """``(word index, single-bit uint64)`` of *place*, or ``None``."""
@@ -232,8 +245,14 @@ def _place_flags(masks):
 
     Float, so that products of two such matrices count shared places.
     """
-    return _np.unpackbits(masks.astype("<u8").view(_np.uint8), axis=1,
+    return _np.unpackbits(_row_bytes(masks), axis=1,
                           bitorder="little").astype(_np.float32)
+
+
+def _row_bytes(words):
+    """The ``(n, 8 * words)`` little-endian byte view of uint64 rows."""
+    words = _np.ascontiguousarray(words, dtype="<u8")
+    return words.view(_np.uint8).reshape(len(words), 8 * words.shape[1])
 
 
 def _pack_bits(flags):
@@ -309,71 +328,6 @@ def fire_enabled(tables, rows, flat):
     return source_local, transition, successor
 
 
-def refresh_enabled(tables, enabled, rows, fired):
-    """Recompute the watched entries of *enabled* after *fired* discoveries.
-
-    *enabled* is the ``(n, transitions)`` bool matrix inherited from the
-    parents of the *n* state *rows*, each discovered by firing ``fired[i]``;
-    only the transitions in the firing's watch list can have changed, so
-    the rows are grouped by fired transition and each watched transition is
-    re-checked with one compare per nonzero need word over the group.
-    Updates *enabled* in place (the vectorised analogue of the sequential
-    engine's :func:`~repro.petri.compiled.expand_watch_pairs` update).
-    """
-    order = _np.argsort(fired, kind="stable")
-    sorted_fired = fired[order]
-    bounds = _np.searchsorted(
-        sorted_fired, _np.arange(len(tables.need) + 1, dtype=_np.int64))
-    watch_entries = tables.watch_entries
-    for t in _np.unique(sorted_fired).tolist():
-        members = order[bounds[t]:bounds[t + 1]]
-        block = rows[members]
-        for watched, needed in watch_entries[t]:
-            if needed:
-                ok = None
-                for w, need_w in needed:
-                    hit = (block[:, w] & need_w) == need_w
-                    ok = hit if ok is None else ok & hit
-            else:
-                # A transition with an empty preset is always enabled.
-                ok = _np.ones(len(members), dtype=bool)
-            enabled[members, watched] = ok
-
-
-def _group_sorted(successor, hashes, word_count, order, collision_order):
-    """Adjacency grouping under *order*; the one copy of the collision path.
-
-    Given an *order* that makes equal rows adjacent whenever their hashes
-    are collision-free, return ``(order, head)`` where ``head`` marks the
-    first occurrence of each distinct row in sorted position.  When two
-    distinct multi-word rows collided in the 64-bit hash (practically
-    never), *collision_order* is called for an exact re-sort on the full
-    words and the grouping is redone on it.
-    """
-    ordered_hashes = hashes[order]
-    same_hash = _np.zeros(len(order), dtype=bool)
-    same_hash[1:] = ordered_hashes[1:] == ordered_hashes[:-1]
-    if word_count == 1:
-        # Single-word rows are their own hash: equal key *is* equal row.
-        head = ~same_hash
-        head[0] = True
-        return order, head
-    # Verify row equality only where the hashes matched: gathering two
-    # rows per duplicate beats gathering the whole sorted matrix.
-    duplicate_positions = _np.where(same_hash)[0]
-    collided = (successor[order[duplicate_positions - 1]]
-                != successor[order[duplicate_positions]]).any(axis=1)
-    if collided.any():
-        order = collision_order()
-        ordered_rows = successor[order]
-        head = _np.ones(len(order), dtype=bool)
-        head[1:] = (ordered_rows[1:] != ordered_rows[:-1]).any(axis=1)
-    else:
-        head = ~same_hash
-        head[0] = True
-    return order, head
-
-
 def dedup_rows(successor, hashes, provenance, word_count):
     """Group duplicate successor rows, keeping each group's min provenance.
 
@@ -382,13 +336,26 @@ def dedup_rows(successor, hashes, provenance, word_count):
     are adjacent, ``group_of_sorted[i]`` is the dedup-group of the sorted
     position ``i``, and the ``group_*`` arrays hold one entry per distinct
     row -- its provenance being the minimum over the group, i.e. the edge
-    over which the sequential BFS first discovers that state.
+    over which the sequential BFS first discovers that state.  Rows are
+    sorted by their 64-bit hashes; when two distinct multi-word rows
+    collide in the hash (practically never), they are re-sorted on their
+    full words instead.
     """
-    order, head = _group_sorted(
-        successor, hashes, word_count,
-        _np.argsort(hashes),  # non-stable: reduceat takes the group min
-        lambda: _np.lexsort(tuple(successor[:, w]
-                                  for w in range(word_count))))
+    order = _np.argsort(hashes)  # non-stable: reduceat takes the group min
+    ordered_hashes = hashes[order]
+    head = _np.ones(len(order), dtype=bool)
+    head[1:] = ordered_hashes[1:] != ordered_hashes[:-1]
+    # Single-word rows are their own hash: equal key *is* equal row.  Wider
+    # rows are compared only where the hashes matched: gathering two rows
+    # per duplicate beats gathering the whole sorted matrix.
+    if word_count > 1:
+        duplicate_positions = _np.flatnonzero(~head)
+        if (successor[order[duplicate_positions - 1]]
+                != successor[order[duplicate_positions]]).any():
+            order = _np.lexsort(tuple(successor[:, w]
+                                      for w in range(word_count)))
+            ordered_rows = successor[order]
+            head[1:] = (ordered_rows[1:] != ordered_rows[:-1]).any(axis=1)
     head_positions = _np.where(head)[0]
     group_rows = successor[order[head_positions]]
     group_of_sorted = _np.cumsum(head) - 1
@@ -396,28 +363,6 @@ def dedup_rows(successor, hashes, provenance, word_count):
                                             head_positions)
     group_hashes = hashes[order[head_positions]]
     return order, group_of_sorted, group_rows, group_hashes, group_provenance
-
-
-def dedup_rows_argmin(successor, hashes, provenance, word_count):
-    """Like :func:`dedup_rows`, but each group's head *is* an occurrence.
-
-    Returns ``(order, group_of_sorted, head_occurrences)`` where
-    ``head_occurrences`` indexes the original arrays at each group's
-    minimum-provenance occurrence.  The sharded batch workers use this
-    where the representative's side data (the shipped parent mask) must
-    pair with the representative's provenance, not just its row.
-    """
-    order, head = _group_sorted(
-        successor, hashes, word_count,
-        # Provenance as the minor key puts each group's minimum first...
-        _np.lexsort((provenance, hashes)),
-        # ...including under the exact-words collision re-sort.
-        lambda: _np.lexsort(
-            (provenance,) + tuple(successor[:, w]
-                                  for w in range(word_count))))
-    head_positions = _np.where(head)[0]
-    group_of_sorted = _np.cumsum(head) - 1
-    return order, group_of_sorted, order[head_positions]
 
 
 def merge_sorted_index(keys, idx, new_keys, new_idx):
@@ -469,21 +414,6 @@ def shard_rows(rows, workers):
         acc = _mod_hash_prime(
             _mod_hash_prime(acc << _np.uint64(3)) + _mod_hash_prime(rows[:, w]))
     return (acc % _np.uint64(workers)).astype(_np.int64)
-
-
-def pack_mask_rows(enabled):
-    """Pack a ``(n, transitions)`` bool matrix into little-endian mask bytes.
-
-    Row ``i`` packs to ``ceil(transitions / 8)`` bytes equal to the
-    sequential engine's ``mask.to_bytes(mask_width, "little")``.
-    """
-    return _np.packbits(enabled, axis=1, bitorder="little")
-
-
-def unpack_mask_rows(mask_bytes, transition_count):
-    """Inverse of :func:`pack_mask_rows` (*mask_bytes* is a uint8 matrix)."""
-    return _np.unpackbits(
-        mask_bytes, axis=1, bitorder="little")[:, :transition_count]
 
 
 class ColumnarReachabilityGraph(CompiledReachabilityGraph):
@@ -930,10 +860,10 @@ def explore_batch(compiled, marking=None, max_states=200000, spill=None,
     Returns a :class:`ColumnarReachabilityGraph` bit-identical to
     ``explore_compiled(compiled, marking, max_states)`` -- same discovery
     order, packed edges, parents, frontier and truncation -- built one BFS
-    level per step instead of one transition per step.  The enabled matrix
-    of a level is propagated incrementally from the parents (only the
-    watch-listed transitions of the discovering firing are recomputed, the
-    vectorised analogue of the sequential engine's incremental masks).
+    level per step instead of one transition per step.  Each level's
+    enabled matrix is recomputed from its rows with the byte lookup tables
+    of :meth:`WordTables.enabled_matrix`; unlike the sequential engine's
+    incremental watch-list masks, nothing is inherited from the parents.
 
     Every array is built in a :class:`~repro.petri.storage.ArrayStore`:
     in RAM they grow geometrically (an uninitialised buffer plus a copy of
@@ -978,9 +908,9 @@ def explore_batch(compiled, marking=None, max_states=200000, spill=None,
 
     from time import perf_counter
 
-    #: Per-phase second counters, printed when REPRO_BATCH_TIMING is set:
-    #: fire (enabled scan + firing), dedup (sort + grouping), probe (global
-    #: lookup), admit (admission + incremental masks + index merge), edges.
+    #: Per-phase second counters, reported as ``exploration_stats``
+    #: ``phases``: fire (enabled scan + firing), dedup (sort + grouping),
+    #: probe (global lookup), admit (admission + index merge), edges.
     timing = {"fire": 0.0, "dedup": 0.0, "probe": 0.0, "admit": 0.0,
               "edges": 0.0}
 
@@ -989,7 +919,6 @@ def explore_batch(compiled, marking=None, max_states=200000, spill=None,
     pool = SpillPool(spill, label="batch",
                      named_dir=checkpoint if checkpoint else None)
     level = tables.encode_rows([initial_state])
-    level_enabled = tables.enabled_matrix(level)
     total = 1
     truncated = False
     levels = 0
@@ -1027,11 +956,10 @@ def explore_batch(compiled, marking=None, max_states=200000, spill=None,
         levels = int(progress["levels"])
         level_start = int(progress["level_start"])
         resumed_from = levels
-        # The level about to expand is the tail of the state table; its
-        # enabled matrix and the sorted hash index are derived state,
-        # recomputed rather than checkpointed.
+        # The level about to expand is the tail of the state table; the
+        # sorted hash index is derived state, recomputed rather than
+        # checkpointed.
         level = _np.ascontiguousarray(words.data[level_start:total])
-        level_enabled = tables.enabled_matrix(level)
         index = SortedIndexStore(pool, "hash", _np.uint64, _np.int64)
         index.merge(tables.hash_rows(words.data),
                     _np.arange(total, dtype=_np.int64))
@@ -1062,7 +990,7 @@ def explore_batch(compiled, marking=None, max_states=200000, spill=None,
             levels += 1
             level_start = total - len(level)
             phase_started = perf_counter()
-            flat = _np.flatnonzero(level_enabled)
+            flat = _np.flatnonzero(tables.enabled_matrix(level))
             if not len(flat):
                 break
             try:
@@ -1102,7 +1030,6 @@ def explore_batch(compiled, marking=None, max_states=200000, spill=None,
             timing["probe"] += perf_counter() - phase_started
             phase_started = perf_counter()
             admitted_rows = None
-            admitted_enabled = None
             if len(fresh_groups):
                 admission = _np.argsort(group_provenance[fresh_groups])
                 capacity = max(0, max_states - total)
@@ -1114,15 +1041,6 @@ def explore_batch(compiled, marking=None, max_states=200000, spill=None,
                 admitted_rows = group_rows[admitted]
                 parents.append(admitted_provenance)
                 words.append(admitted_rows)
-                # Incremental enabledness: inherit the parent's enabled row,
-                # recompute only the transitions watching a place the
-                # discovering firing touched.
-                if len(admitted):
-                    parent_local = (admitted_provenance >> 16) - level_start
-                    admitted_enabled = level_enabled[parent_local]
-                    fired = admitted_provenance & 0xFFFF
-                    refresh_enabled(tables, admitted_enabled, admitted_rows,
-                                    fired)
                 total += len(admitted)
                 # Merge the admitted hashes into the sorted hash index (one
                 # fused placement pass into the index's spare buffer).
@@ -1166,16 +1084,9 @@ def explore_batch(compiled, marking=None, max_states=200000, spill=None,
                 })
             if next_rows:
                 level = admitted_rows
-                level_enabled = admitted_enabled
             else:
                 level = _np.empty((0, word_count), dtype=_np.uint64)
 
-        import os
-        if os.environ.get("REPRO_BATCH_TIMING"):
-            import sys
-            print("batch explorer: fire {fire:.2f}s dedup {dedup:.2f}s "
-                  "probe {probe:.2f}s admit {admit:.2f}s edges {edges:.2f}s"
-                  .format(**timing), file=sys.stderr)
         graph._words = words.trim()
         graph._parents_arr = parents.trim()
         graph._edge_data = edges.trim()

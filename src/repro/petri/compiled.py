@@ -68,11 +68,11 @@ def scan_enabled_mask(need, state):
 def transition_watch_lists(affected):
     """Per transition: the tuple of transition indices to re-check after it.
 
-    This is the single source of the watch-list structure shared by every
-    engine: the sequential explorer and the pure-int shard workers consume
-    it through :func:`expand_watch_pairs`, and the batch (NumPy) engines
-    through :class:`repro.petri.batch.WordTables` -- so the incremental
-    enabled-set update logic cannot diverge between them.
+    The single source of the watch-list structure: the sequential explorer
+    and the pure-int shard workers consume it through
+    :func:`expand_watch_pairs`, so their incremental enabled-set update
+    logic cannot diverge.  The batch (NumPy) engines keep no enabled sets;
+    they recompute enabledness from state rows.
     """
     return [tuple(iter_bits(mask)) for mask in affected]
 

@@ -34,17 +34,18 @@ from repro.petri.batch import (
     ColumnarReachabilityGraph,
     WordTables,
     dedup_rows,
-    dedup_rows_argmin,
     explore_batch,
     int_to_words,
     merge_sorted_index,
     numpy_available,
-    pack_mask_rows,
     shard_rows,
-    unpack_mask_rows,
     words_to_int,
 )
-from repro.petri.compiled import CompiledNet, explore_compiled
+from repro.petri.compiled import (
+    CompiledNet,
+    explore_compiled,
+    scan_enabled_mask,
+)
 from repro.petri.net import PetriNet
 from repro.petri.properties import (
     check_boundedness,
@@ -298,6 +299,97 @@ class TestPersistenceScanDifferential:
             spilled.close()
 
 
+def wide_net():
+    """A net that reaches every case of the byte lookup tables.
+
+    130 places make three state words and 140 transitions two transition
+    words.  Every tenth transition has an empty preset.  No transition
+    reads places 8-15 or 64-71, so those row bytes get no table.  Presets
+    mix consumed places, read arcs and consume/produce self-loops, and may
+    span several state words.
+    """
+    rng = random.Random(7)
+    net = PetriNet("wide")
+    for p in range(130):
+        net.add_place("p{}".format(p), tokens=int(p % 3 == 0))
+    readable = ["p{}".format(p) for p in range(130)
+                if not (8 <= p < 16 or 64 <= p < 72)]
+    for t in range(140):
+        name = "t{}".format(t)
+        net.add_transition(name)
+        produced = {"p{}".format(rng.randrange(130))}
+        preset = [] if t % 10 == 0 else rng.sample(readable,
+                                                   rng.randint(1, 5))
+        for place in preset:
+            kind = rng.random()
+            if kind < 0.3:
+                net.add_read_arc(place, name)
+            else:
+                net.add_arc(place, name)
+                if kind < 0.5:
+                    produced.add(place)  # consume/produce self-loop
+        for place in sorted(produced):
+            net.add_arc(name, place)
+    return net
+
+
+def assert_enabled_like_compiled(compiled, states):
+    """``enabled_matrix`` row by row against the pure-int full scan."""
+    tables = WordTables(compiled)
+    rows = tables.encode_rows(states)
+    enabled = tables.enabled_matrix(rows)
+    transitions = len(compiled.transition_names)
+    assert enabled.dtype == bool and enabled.shape == (len(states),
+                                                       transitions)
+    for state, row in zip(states, enabled):
+        mask = scan_enabled_mask(compiled.need, state)
+        assert row.tolist() == [bool(mask >> t & 1)
+                                for t in range(transitions)], hex(state)
+    # Strided input rows answer like their contiguous copy.
+    assert (tables.enabled_matrix(rows[::2]) == enabled[::2]).all()
+    assert tables.enabled_matrix(rows[:0]).shape == (0, transitions)
+
+
+class TestEnabledMatrix:
+    """The lookup-table enabledness against ``scan_enabled_mask``."""
+
+    def test_wide_net_every_table_case(self):
+        compiled = CompiledNet.compile(wide_net())
+        tables = WordTables(compiled)
+        # The cases the net is built to reach.
+        assert tables.words == 3
+        assert len(compiled.transition_names) > 64
+        assert 0 in compiled.need
+        assert set(range(8 * tables.words)) - set(tables.byte_positions)
+        assert any(need & ~consume
+                   for need, consume in zip(compiled.need, compiled.consume))
+        assert any(consume & produce for consume, produce
+                   in zip(compiled.consume, compiled.produce))
+        rng = random.Random(3)
+        places = len(compiled.place_names)
+        states = [0, (1 << places) - 1]
+        states += [rng.getrandbits(places) for _ in range(200)]
+        for need in compiled.need:
+            # Exactly enabled, one needed place short, and with extras.
+            states.append(need)
+            if need:
+                states.append(need & ~(1 << rng.choice(
+                    [bit for bit in range(places) if need >> bit & 1])))
+            states.append(need | rng.getrandbits(places))
+        assert_enabled_like_compiled(compiled, states)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_safe_nets(self, seed):
+        compiled = CompiledNet.compile(random_safe_net(seed))
+        sequential = explore_compiled(compiled)
+        rng = random.Random(seed)
+        places = len(compiled.place_names)
+        states = list(sequential._mask_states)
+        states += [rng.getrandbits(places) for _ in range(50)]
+        assert_enabled_like_compiled(compiled, states)
+        assert_identical(sequential, explore_batch(compiled))
+
+
 class TestEngineSelection:
     def test_auto_prefers_batch_when_numpy_present(self):
         net = to_petri_net(linear_pipeline(stages=1))
@@ -380,19 +472,6 @@ class TestPrimitives:
                 assert shard_rows(rows, workers).tolist() == \
                     [shard_of(state, workers) for state in states]
 
-    def test_mask_rows_roundtrip(self):
-        rng = np.random.default_rng(5)
-        for transitions in (1, 7, 8, 9, 130):
-            enabled = rng.integers(0, 2, size=(20, transitions)).astype(bool)
-            packed = pack_mask_rows(enabled)
-            assert packed.shape == (20, (transitions + 7) // 8)
-            restored = unpack_mask_rows(packed, transitions).astype(bool)
-            assert (restored == enabled).all()
-            # The packed bytes equal the int mask little-endian encoding.
-            for row, bits in zip(packed, enabled):
-                mask = sum(1 << i for i, bit in enumerate(bits) if bit)
-                assert row.tobytes() == mask.to_bytes(len(row), "little")
-
     def test_dedup_rows_groups_and_min_provenance(self):
         rows = np.asarray([[3], [1], [3], [2], [1]], dtype=np.uint64)
         hashes = rows[:, 0]
@@ -406,14 +485,6 @@ class TestPrimitives:
         targets = np.empty(len(order), dtype=np.int64)
         targets[order] = group_rows[group_of, 0]
         assert targets.tolist() == rows[:, 0].tolist()
-
-    def test_dedup_rows_argmin_heads_are_min_occurrences(self):
-        rows = np.asarray([[3], [1], [3], [2], [1]], dtype=np.uint64)
-        hashes = rows[:, 0]
-        provenance = np.asarray([50, 40, 10, 30, 20], dtype=np.int64)
-        order, group_of, heads = dedup_rows_argmin(rows, hashes, provenance, 1)
-        resolved = {int(rows[h, 0]): int(provenance[h]) for h in heads}
-        assert resolved == {1: 20, 2: 30, 3: 10}
 
     def test_merge_sorted_index(self):
         keys = np.asarray([2, 5, 9], dtype=np.uint64)

@@ -78,9 +78,16 @@ print(json.dumps({{
 '''.format(src=str(SRC_DIR))
 
 
-def _run_explorer(checkpoint, workers=0, fault=None):
-    """Run the explorer child; return (returncode, parsed stdout or None)."""
+def _run_explorer(checkpoint, workers=0, fault=None, tag=None):
+    """Run the explorer child; return (returncode, parsed stdout or None).
+
+    A *tag* is put in the child's environment, which every process it
+    starts inherits (under fork and spawn alike); see
+    :func:`_tagged_processes`.
+    """
     env = dict(os.environ)
+    if tag:
+        env[TAG_VARIABLE] = tag
     env["PYTHONPATH"] = str(SRC_DIR) + (
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
     env.pop("REPRO_FAULTS", None)
@@ -88,9 +95,9 @@ def _run_explorer(checkpoint, workers=0, fault=None):
     argv = [sys.executable, "-c", EXPLORER, checkpoint or "-", str(workers)]
     if fault:
         # A faulted run is expected to die by SIGKILL.  Don't capture its
-        # output: sharded worker processes inherit the pipe ends and may
+        # output: sharded worker processes inherit the output pipes and
         # outlive the killed coordinator briefly, which would make
-        # ``communicate`` wait on an EOF that never comes.
+        # ``communicate`` wait for their exit.
         env["REPRO_FAULTS"] = fault
         process = subprocess.Popen(argv, stdout=subprocess.DEVNULL,
                                    stderr=subprocess.DEVNULL, env=env)
@@ -101,6 +108,41 @@ def _run_explorer(checkpoint, workers=0, fault=None):
     if completed.returncode == 0:
         payload = json.loads(completed.stdout)
     return completed.returncode, payload
+
+
+#: Environment variable marking the processes one explorer run started.
+TAG_VARIABLE = "REPRO_TEST_EXPLORER_TAG"
+
+
+def _tagged_processes(tag):
+    """PIDs of live processes whose environment carries *tag*.
+
+    Reads ``/proc``; without it (not Linux) nothing is found.  Zombies
+    have an empty environment there, so only running processes count.
+    """
+    marker = "{}={}".format(TAG_VARIABLE, tag).encode()
+    found = []
+    for entry in os.listdir("/proc") if os.path.isdir("/proc") else ():
+        if not entry.isdigit():
+            continue
+        try:
+            with open(os.path.join("/proc", entry, "environ"), "rb") as fh:
+                environment = fh.read().split(b"\0")
+        except OSError:
+            continue  # exited meanwhile, or not ours to read
+        if marker in environment:
+            found.append(int(entry))
+    return found
+
+
+def _await_exit(tag, timeout=30.0):
+    """Wait until no process carrying *tag* is alive; return survivors."""
+    deadline = time.monotonic() + timeout
+    survivors = _tagged_processes(tag)
+    while survivors and time.monotonic() < deadline:
+        time.sleep(0.05)
+        survivors = _tagged_processes(tag)
+    return survivors
 
 
 @pytest.fixture
@@ -218,9 +260,13 @@ class TestKillResume:
         checkpoint = str(tmp_path / "ckpt")
         code, reference = _run_explorer(None)
         assert code == 0
+        tag = "{}-{}".format(os.getpid(), tmp_path.name)
         code, _ = _run_explorer(checkpoint, workers=2,
-                                fault="kill_worker@level=10")
+                                fault="kill_worker@level=10", tag=tag)
         assert code == -signal.SIGKILL
+        # No shard worker outlives its coordinator: the killed
+        # coordinator's closed pipes end every worker.
+        assert _await_exit(tag) == []
         assert "checkpoint.json" in os.listdir(checkpoint)
         code, resumed = _run_explorer(checkpoint)
         assert code == 0
