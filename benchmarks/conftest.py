@@ -92,7 +92,7 @@ def graph_bytes(graph):
     arrays = [getattr(graph, name, None)
               for name in ("_words", "_edge_data", "_edge_offsets",
                            "_parents_arr", "_frontier_arr",
-                           "_hash_keys", "_hash_idx")]
+                           "_sorted_keys", "_sorted_idx")]
     if arrays[0] is not None:
         return sum(array.nbytes for array in arrays if array is not None)
     states = graph._mask_states

@@ -644,7 +644,7 @@ class _BatchShardWorker(_ShardWorkerBase):
         _, _, group_rows, group_hashes, group_idx = b.dedup_rows(
             rows, hashes, indices, self.words)
         slot = b._probe_rows(self.memo_keys, self.memo_pos, self.memo_rows,
-                             group_rows, group_hashes, self.words)
+                             group_rows, group_hashes)
         fresh = slot < 0
         if not fresh.any():
             return
@@ -698,15 +698,18 @@ class _BatchShardWorker(_ShardWorkerBase):
         rows = self.exp_rows[start:stop]
         global_indices = self.exp_global[start:stop]
         outboxes = [b""] * workers
-        flat = n.flatnonzero(tables.enabled_matrix(rows))
+        # The batch engine's overflow check: raises SafenessOverflowError
+        # with integer indices, which is exactly this worker's overflow
+        # wire format.
+        flat = n.flatnonzero(tables.safe_enabled_matrix(rows))
+        source_local = flat // transition_count
+        transition = flat - source_local * transition_count
         self.count_chunks.append(
-            n.bincount(flat // transition_count, minlength=stop - start))
+            n.bincount(source_local, minlength=stop - start))
         if not len(flat):
             return outboxes
-        # Shared firing: raises SafenessOverflowError with integer indices,
-        # which is exactly this worker's overflow wire format.
-        source_local, transition, successor = b.fire_enabled(tables, rows,
-                                                             flat)
+        successor = b.fire_rows(rows, tables.fire_tab, source_local,
+                                transition)
         provenance = (global_indices[source_local] << 16) | transition
         owner = b.shard_rows(successor, workers)
         edge_values = n.empty(len(flat), dtype=n.int64)
@@ -716,8 +719,7 @@ class _BatchShardWorker(_ShardWorkerBase):
             own_rows = successor[own_positions]
             own_hashes = tables.hash_rows(own_rows)
             local_hit = b._probe_rows(self.local_keys, self.local_pos,
-                                      self.local_rows, own_rows, own_hashes,
-                                      words)
+                                      self.local_rows, own_rows, own_hashes)
             known = local_hit >= 0
             known_positions = own_positions[known]
             edge_values[known_positions] = (
@@ -731,7 +733,7 @@ class _BatchShardWorker(_ShardWorkerBase):
                     provenance[unknown_positions], words)
                 group_pending = b._probe_rows(
                     self.pend_keys, self.pend_pos, self.pend_rows,
-                    group_rows, group_hashes, words)
+                    group_rows, group_hashes)
                 hit = group_pending >= 0
                 if hit.any():
                     identifiers = group_pending[hit]
@@ -756,7 +758,7 @@ class _BatchShardWorker(_ShardWorkerBase):
             if self.memo_size:
                 slot = b._probe_rows(self.memo_keys, self.memo_pos,
                                      self.memo_rows, foreign_rows,
-                                     foreign_hashes, words)
+                                     foreign_hashes)
                 hit = slot >= 0
             else:
                 hit = n.zeros(len(foreign_positions), dtype=bool)
@@ -803,7 +805,7 @@ class _BatchShardWorker(_ShardWorkerBase):
         hashes = self.word_tables.hash_rows(rows)
         stream = n.empty(count, dtype=n.int64)
         local_hit = b._probe_rows(self.local_keys, self.local_pos,
-                                  self.local_rows, rows, hashes, words)
+                                  self.local_rows, rows, hashes)
         known = local_hit >= 0
         stream[known] = self.local_global[local_hit[known]]
         unknown = n.flatnonzero(~known)
@@ -815,7 +817,7 @@ class _BatchShardWorker(_ShardWorkerBase):
                                         provenance[unknown], words)
             group_pending = b._probe_rows(
                 self.pend_keys, self.pend_pos, self.pend_rows,
-                group_rows, group_hashes, words)
+                group_rows, group_hashes)
             hit = group_pending >= 0
             if hit.any():
                 identifiers = group_pending[hit]
@@ -1509,26 +1511,28 @@ class _ColumnarMerger:
         self.counts_store.release()
         graph._edge_offsets = offsets.trim()
         graph._frontier_arr = self.frontier.trim()
-        # The hash index only accelerates lookups (it is not part of the
+        # The key index only accelerates lookups (it is not part of the
         # bit-identical contract), so it is built once here rather than
-        # merged level by level: hash every stored row in chunks, then one
-        # argsort.  The argsort's O(states) temporaries are the only
+        # merged level by level: key every stored row in chunks, then one
+        # argsort -- the same index the batch engine builds, so one lookup
+        # serves both.  The argsort's O(states) temporaries are the only
         # above-frontier RAM this path allocates.
-        keys_store = self._array_store(pool, "hash-keys", np.uint64)
+        tables = self.tables
+        keys_store = self._array_store(pool, "sorted-keys", np.uint64)
         keys_store.set_length(total)
         keys_view = keys_store.data
         chunk = 1 << 16
         words_view = graph._words
         for start in range(0, total, chunk):
             stop = min(start + chunk, total)
-            keys_view[start:stop] = self.tables.hash_rows(
-                words_view[start:stop])
+            keys_view[start:stop] = tables.key_hashes(
+                tables.key_rows(words_view[start:stop]))
         order = np.argsort(keys_view, kind="stable").astype(np.int64)
         keys_view[:] = keys_view[order]
-        idx_store = self._array_store(pool, "hash-idx", np.int64)
+        idx_store = self._array_store(pool, "sorted-idx", np.int64)
         idx_store.append(order)
-        graph._hash_keys = keys_store.trim()
-        graph._hash_idx = idx_store.trim()
+        graph._sorted_keys = keys_store.trim()
+        graph._sorted_idx = idx_store.trim()
         graph.truncated = self.truncated
         graph._spill_pool = pool
         if self.checkpointer is not None:

@@ -11,11 +11,25 @@ bulk engines do: the *entire BFS frontier* is expanded per step.
   compiled net are precompiled into ``(transitions, words)`` arrays, and
   the ``need`` masks further into one 256-entry lookup table per byte
   position of a state row they touch.
-* One level of BFS is: enabledness recomputed from the level's rows (one
-  table gather per row byte, ANDed over bytes), a bulk mask-and-or firing,
-  a sort for intra-level dedup, and a ``searchsorted`` probe against the
-  sorted table of known states.  No enabled set is carried from parent to
-  child, so a level needs nothing but its rows.
+* States are identified by exact **keys**: a state's bits on the *basis
+  places*, whose rows of the incidence matrix ``C = produce - consume``
+  (places x transitions) form a basis of C's row space
+  (:func:`incidence_basis`, exact integer elimination).  On a 1-safe net
+  every reachable marking satisfies the state equation ``m = m0 + C.s``
+  (``s`` the firing count vector), and every non-basis row of C is a
+  rational combination of basis rows, so the basis bits determine all
+  others: two reachable states with equal keys are equal.  The argument
+  needs the 1-safe precondition -- firing ``(m & ~consume) | produce``
+  adds ``C``'s column only when no produced place is already marked --
+  which the per-state overflow check enforces before anything fires.
+* One level of BFS is: enabledness and the overflow check recomputed from
+  the level's full rows (one table gather per row byte), firing on keys
+  (the projection commutes with bitwise firing), a sort of exact keys for
+  intra-level dedup, a ``searchsorted`` probe against the sorted keys of
+  known states, and full rows rebuilt for the admitted states only, from
+  their discovering edge.  Keys wider than one word (rank above 64) are
+  hashed, and every hash hit is verified.  No enabled set is carried from
+  parent to child, so a level needs nothing but its rows.
 * New states are admitted in **provenance order** (``parent << 16 |
   transition``, minimised over all discoverers) up to ``max_states`` --
   exactly the order the sequential BFS first reaches each state, which makes
@@ -106,7 +120,10 @@ class WordTables:
     """Per-transition bitmask tables of a compiled net as uint64 matrices."""
 
     __slots__ = ("compiled", "words", "need", "consume", "keep", "produce",
-                 "fire_tab", "byte_positions", "byte_tables")
+                 "fire_tab", "byte_positions", "byte_tables", "key_places",
+                 "key_words", "key_keep", "key_produce", "key_fire",
+                 "key_positions", "key_tables", "spill_positions",
+                 "spill_tables")
 
     def __init__(self, compiled):
         _require_numpy()
@@ -145,21 +162,34 @@ class WordTables:
         # keep and produce side by side, so the firing loop pays one fancy
         # gather per edge batch instead of two.
         self.fire_tab = _np.concatenate([self.keep, self.produce], axis=1)
-        # Enabledness lookup tables, one per byte position of a state row
-        # that holds a need bit: bit ``t`` of ``byte_tables[k][tw, v]``
-        # (transition word ``tw = t // 64``) is set when byte value ``v``
-        # holds every need bit ``t`` has in byte ``byte_positions[k]``.
-        # Stored transposed, so each lookup is a 1-D gather over 256
-        # entries.
-        need_bytes = _row_bytes(self.need)
-        self.byte_positions = _np.flatnonzero(
-            need_bytes.any(axis=0)).tolist()
         values = _np.arange(256, dtype=_np.uint8)[:, None]
-        self.byte_tables = []
-        for position in self.byte_positions:
-            needed = need_bytes[:, position]
-            self.byte_tables.append(_np.ascontiguousarray(
-                _pack_bits((values & needed) == needed).T))
+
+        def meets(masks):
+            return (values & masks) != 0
+
+        # Enabledness lookup tables, one per byte position of a state row
+        # that holds a need bit: bit ``t`` of ``byte_tables[k][v, tw]``
+        # (transition word ``tw = t // 64``) is set when byte value ``v``
+        # misses a need bit ``t`` has in byte ``byte_positions[k]``.
+        self.byte_positions, self.byte_tables = _byte_tables(
+            self.need, lambda needed: (values & needed) != needed)
+        # Overflow lookup tables, built the same way: bit ``t`` is set when
+        # the byte value meets a place ``t`` produces without consuming.
+        self.spill_positions, self.spill_tables = _byte_tables(
+            self.produce & self.keep, meets)
+        # Exact state keys: the projection onto the places of a basis of
+        # the incidence matrix's row space (see the module docstring).  Key
+        # bit ``j`` is set when the row meets basis place ``j``.
+        self.key_places = incidence_basis(consume_masks, produce_masks,
+                                          place_count)
+        self.key_words = max(1, -(-len(self.key_places) // 64))
+        self.key_positions, self.key_tables = _byte_tables(
+            self.encode_rows([1 << place for place in self.key_places]),
+            meets)
+        self.key_keep = ~self.key_rows(self.consume)
+        self.key_produce = self.key_rows(self.produce)
+        self.key_fire = _np.concatenate([self.key_keep, self.key_produce],
+                                        axis=1)
 
     def encode_rows(self, states):
         """Pack an iterable of int states into a ``(n, words)`` matrix."""
@@ -169,41 +199,72 @@ class WordTables:
         return rows
 
     def hash_rows(self, rows):
-        """A 64-bit mix of every state row; a pre-filter, not an identity.
+        """A 64-bit mix of every row of words; a pre-filter, not an identity.
 
-        Single-word states are their own (collision-free) key.  Wider rows
+        Single-word rows are their own (collision-free) key.  Wider rows
         xor per-word products by distinct odd constants -- collisions are
         handled exactly by the callers (run scans, adjacent-row compares),
         so hash quality only affects speed.
         """
-        if self.words == 1:
+        if rows.shape[1] == 1:
             return rows[:, 0]
         mixed = rows[:, 0] * _np.uint64(_HASH_MULTIPLIERS[0])
-        for w in range(1, self.words):
+        for w in range(1, rows.shape[1]):
             multiplier = _HASH_MULTIPLIERS[w % len(_HASH_MULTIPLIERS)]
             mixed = mixed ^ rows[:, w] * _np.uint64(multiplier)
         return mixed
 
+    def key_rows(self, rows):
+        """The exact keys of state *rows*: a ``(n, key_words)`` matrix."""
+        return _lookup(_row_bytes(rows), self.key_positions, self.key_tables,
+                       self.key_words)
+
+    def key_hashes(self, keys):
+        """The sorted-index values of *keys*: the key itself when it fits
+        one word (exact, so no probe needs verifying), else its hash."""
+        return keys[:, 0] if self.key_words == 1 else self.hash_rows(keys)
+
     def enabled_matrix(self, rows):
         """Full-scan enabledness of *rows*: a ``(n, transitions)`` matrix.
 
-        Per transition word, the AND over the lookup tables of the row
-        bytes they cover; transitions with an empty preset stay enabled.
+        A transition is enabled when no byte of the row misses one of its
+        need bits (one table lookup per byte); transitions with an empty
+        preset stay enabled.
         """
-        transition_count = len(self.need)
-        packed = _np.empty((len(rows), -(-transition_count // 64)),
-                           dtype="<u8")
+        return self._unpack(self._enabled_words(_row_bytes(rows)))
+
+    def safe_enabled_matrix(self, rows):
+        """:meth:`enabled_matrix`, checked against 1-safe firing.
+
+        Raises :class:`~repro.exceptions.SafenessOverflowError` with integer
+        indices (transition, place) for the first enabled pair, in
+        expansion order, whose firing puts a second token into a place.
+        Shared by :func:`explore_batch` and the sharded batch workers, so
+        their overflow semantics cannot diverge.
+        """
         row_bytes = _row_bytes(rows)
-        hit = _np.empty(len(rows), dtype=_np.uint64)
-        for tw in range(packed.shape[1]):
-            word = _np.full(len(rows), _WORD_MASK, dtype=_np.uint64)
-            for position, table in zip(self.byte_positions,
-                                       self.byte_tables):
-                _np.take(table[tw], row_bytes[:, position], out=hit)
-                word &= hit
-            packed[:, tw] = word
+        enabled = self._enabled_words(row_bytes)
+        spilled = enabled & _lookup(row_bytes, self.spill_positions,
+                                    self.spill_tables, enabled.shape[1])
+        if spilled.any():
+            state, transition = divmod(
+                int(_np.argmax(self._unpack(spilled).ravel())),
+                len(self.need))
+            remainder = rows[state] & self.keep[transition]
+            raise SafenessOverflowError(transition, next(iter_bits(
+                words_to_int(remainder & self.produce[transition]))))
+        return self._unpack(enabled)
+
+    def _enabled_words(self, row_bytes):
+        # Enabled: no byte misses a need bit.
+        return ~_lookup(row_bytes, self.byte_positions, self.byte_tables,
+                        -(-len(self.need) // 64))
+
+    def _unpack(self, packed):
+        """Transition flags of ``(n, transition words)`` packed words."""
+        packed = _np.ascontiguousarray(packed, dtype="<u8")
         return _np.unpackbits(packed.view(_np.uint8), axis=1,
-                              count=transition_count,
+                              count=len(self.need),
                               bitorder="little").view(bool)
 
     def word_bit_of(self, place):
@@ -226,11 +287,10 @@ class WordTables:
         diagonal is clear, and with *allow_conflicts* so are pairs that
         consume a common place.
         """
-        lost = _place_flags(self.consume & ~self.produce)
-        hits = lost @ _place_flags(self.need).T > 0
+        lost = self.consume & ~self.produce
+        hits = (lost[:, None] & self.need[None]).any(axis=-1)
         if allow_conflicts:
-            consume = _place_flags(self.consume)
-            hits &= consume @ consume.T == 0
+            hits &= ~(self.consume[:, None] & self.consume[None]).any(axis=-1)
         _np.fill_diagonal(hits, False)
         return _pack_bits(hits)
 
@@ -240,13 +300,64 @@ _POPCOUNT8 = _np.asarray([bin(b).count("1") for b in range(256)],
                          dtype=_np.uint8) if _np is not None else None
 
 
-def _place_flags(masks):
-    """Unpack ``(n, words)`` uint64 place masks into a 0/1 float32 matrix.
+def incidence_basis(consume_masks, produce_masks, place_count):
+    """Places whose incidence rows form a basis of the incidence row space.
 
-    Float, so that products of two such matrices count shared places.
+    Row ``p`` of the incidence matrix holds ``produce - consume`` of place
+    ``p`` per transition (a consume/produce self-loop nets to zero).  Rows
+    are taken greedily in place order and kept when independent of those
+    kept before, by fraction-free elimination on Python integers -- exact,
+    no floating-point rank.  Returns the kept place indices, ascending.
     """
-    return _np.unpackbits(_row_bytes(masks), axis=1,
-                          bitorder="little").astype(_np.float32)
+    change = _np.zeros((place_count, len(consume_masks)), dtype=object)
+    for t, (consume, produce) in enumerate(zip(consume_masks, produce_masks)):
+        for place in iter_bits(produce & ~consume):
+            change[place, t] = 1
+        for place in iter_bits(consume & ~produce):
+            change[place, t] = -1
+    pivots = []
+    basis = []
+    for place in range(place_count):
+        row = change[place]
+        for column, pivot in pivots:
+            if row[column]:
+                row = row * pivot[column] - pivot * row[column]
+                divisor = _np.gcd.reduce(row)
+                if divisor > 1:
+                    row = row // divisor
+        nonzero = _np.flatnonzero(row)
+        if len(nonzero):
+            pivots.append((int(nonzero[0]), row))
+            basis.append(place)
+    return basis
+
+
+def _byte_tables(masks, holds):
+    """Per-byte lookup tables of a predicate over ``(n, words)`` masks.
+
+    Returns ``(positions, tables)``: the state-row byte positions where
+    any mask has a bit, and for each a ``(256, ceil(n / 64))`` uint64
+    table whose bit ``j`` at byte value ``v`` is ``holds(mask bytes)[v, j]``
+    (*holds* maps the ``(n,)`` mask bytes at that position to a ``(256,
+    n)`` bool matrix).  :func:`_lookup` ORs a row's entries over its bytes.
+    """
+    mask_bytes = _row_bytes(masks)
+    positions = _np.flatnonzero(mask_bytes.any(axis=0)).tolist()
+    return positions, [_pack_bits(holds(mask_bytes[:, p])) for p in positions]
+
+
+def _lookup(row_bytes, positions, tables, columns):
+    """The OR of per-byte table lookups: ``(n, columns)`` uint64 words.
+
+    Row ``i`` is the OR of ``tables[k][row_bytes[i, positions[k]]]`` over
+    ``k`` (zero when no byte has a table).
+    """
+    out = _np.zeros((len(row_bytes), columns), dtype=_np.uint64)
+    hit = _np.empty_like(out)
+    for position, table in zip(positions, tables):
+        _np.take(table, row_bytes[:, position], axis=0, out=hit)
+        out |= hit
+    return out
 
 
 def _row_bytes(words):
@@ -274,16 +385,28 @@ def _group_arange(counts):
     return _np.arange(total, dtype=_np.int64) - _np.repeat(starts, counts)
 
 
+def fire_rows(rows, fire_tab, source, transition):
+    """``(rows[source] & keep[t]) | produce[t]`` per (source, t) pair.
+
+    *fire_tab* holds each transition's keep and produce words side by side
+    (``WordTables.fire_tab`` for state rows, ``key_fire`` for keys).
+    """
+    width = rows.shape[1]
+    gathered = _np.take(fire_tab, transition, axis=0)
+    return ((_np.take(rows, source, axis=0) & gathered[:, :width])
+            | gathered[:, width:])
+
+
 def fire_enabled_flags(tables, rows, flat):
     """Fire every enabled (state, transition) pair; report overflows.
 
-    The non-raising core of :func:`fire_enabled`: returns ``(source_local,
-    transition, successor, overflowed)`` where *overflowed* is a bool
-    vector marking the pairs whose firing would put a second token into a
-    place (their *successor* rows hold the over-merged words and must not
-    be used as states).  The walk swarm consumes the flags directly -- an
-    overflow retires one walk, or answers the safeness query, instead of
-    aborting the whole batch.
+    *flat* is the flat index vector of the rows' enabled matrix (as from
+    ``np.flatnonzero``).  Returns ``(source_local, transition, successor,
+    overflowed)`` where *overflowed* is a bool vector marking the pairs
+    whose firing would put a second token into a place (their *successor*
+    rows hold the over-merged words and must not be used as states).  The
+    walk swarm consumes the flags directly -- an overflow retires one walk,
+    or answers the safeness query, instead of aborting the whole batch.
     """
     word_count = tables.words
     transition_count = len(tables.need)
@@ -304,28 +427,6 @@ def overflow_place(tables, rows, source_local, transition, position):
     remainder = rows[int(source_local[position])] & gathered[:tables.words]
     produced = gathered[tables.words:]
     return next(iter_bits(words_to_int(remainder & produced)))
-
-
-def fire_enabled(tables, rows, flat):
-    """Fire every enabled (state, transition) pair of a frontier slice.
-
-    *flat* is the flat index vector of the slice's enabled matrix (as from
-    ``np.flatnonzero``).  Returns ``(source_local, transition, successor)``.
-    A 1-safeness violation raises
-    :class:`~repro.exceptions.SafenessOverflowError` carrying the first
-    offender *in expansion order* as **integer indices** (transition index,
-    place index); callers holding name tables re-raise with names.  Shared
-    by :func:`explore_batch` and the sharded batch workers so the firing
-    and overflow semantics cannot diverge.
-    """
-    source_local, transition, successor, overflowed = fire_enabled_flags(
-        tables, rows, flat)
-    if overflowed.any():
-        position = int(_np.argmax(overflowed))
-        raise SafenessOverflowError(
-            int(transition[position]),
-            overflow_place(tables, rows, source_local, transition, position))
-    return source_local, transition, successor
 
 
 def dedup_rows(successor, hashes, provenance, word_count):
@@ -357,7 +458,7 @@ def dedup_rows(successor, hashes, provenance, word_count):
             ordered_rows = successor[order]
             head[1:] = (ordered_rows[1:] != ordered_rows[:-1]).any(axis=1)
     head_positions = _np.where(head)[0]
-    group_rows = successor[order[head_positions]]
+    group_rows = _np.take(successor, order[head_positions], axis=0)
     group_of_sorted = _np.cumsum(head) - 1
     group_provenance = _np.minimum.reduceat(provenance[order],
                                             head_positions)
@@ -425,8 +526,10 @@ class ColumnarReachabilityGraph(CompiledReachabilityGraph):
     * ``_parents_arr`` -- packed ``parent << 16 | transition`` BFS parents
       (``-1`` for the initial state);
     * ``_frontier_arr`` -- sorted indices of partially-expanded states;
-    * ``_sorted_keys`` / ``_sorted_idx`` -- the byte-key index used for
-      O(log n) marking lookup without materialising Python ints.
+    * ``_sorted_keys`` / ``_sorted_idx`` -- every state's key (or, for
+      keys wider than one word, its hash; :meth:`WordTables.key_hashes`),
+      sorted, with the state index of each: O(log n) marking lookup
+      without materialising Python ints.
 
     The full marking-level :class:`~repro.petri.reachability.ReachabilityGraph`
     API is preserved -- markings decode on demand, and the list-based mirrors
@@ -457,8 +560,8 @@ class ColumnarReachabilityGraph(CompiledReachabilityGraph):
         self._edge_offsets = None
         self._parents_arr = None
         self._frontier_arr = None
-        self._hash_keys = None      # sorted row hashes of every state
-        self._hash_idx = None       # state index per sorted hash
+        self._sorted_keys = None    # sorted key hashes of every state
+        self._sorted_idx = None     # state index per sorted key hash
         #: The spill pool backing the arrays (``None`` for plain RAM
         #: arrays); kept alive so unlinked memmap files outlive the graph.
         self._spill_pool = None
@@ -548,13 +651,15 @@ class ColumnarReachabilityGraph(CompiledReachabilityGraph):
         except CompilationError:
             return None
         row = self.tables.encode_rows([state])
-        key = self.tables.hash_rows(row)[0]
-        keys = self._hash_keys
+        key = self.tables.key_hashes(self.tables.key_rows(row))[0]
+        keys = self._sorted_keys
         position = int(_np.searchsorted(keys, key))
-        # Hashes only pre-filter: scan the (almost always length-one) run of
-        # equal hashes and compare the actual rows.
+        # Keys only pre-filter: an unreachable marking can share a reachable
+        # state's key (it breaks the state equation the key relies on), and
+        # wide keys are hashed.  Scan the run of equal values and compare
+        # the actual rows.
         while position < len(keys) and keys[position] == key:
-            index = int(self._hash_idx[position])
+            index = int(self._sorted_idx[position])
             if bool((self._words[index] == row[0]).all()):
                 return index
             position += 1
@@ -790,16 +895,27 @@ def compile_row_predicate(expression, word_bit_of):
     return None
 
 
-def _probe_rows(hash_keys, hash_idx, words_buffer, rows, hashes, word_count):
+def _probe_rows(hash_keys, hash_idx, words_buffer, rows, hashes,
+                project=None):
     """Resolve candidate *rows* against the sorted hash index.
 
     Returns an int64 vector of global state indices (``-1`` for unknown
     rows).  The hash is only a pre-filter: every hit is verified by an exact
-    row compare, and runs of colliding hashes are scanned to the end, so the
-    result is exact whatever the hash quality.
+    compare of the row with ``words_buffer[index]`` (mapped through
+    *project* first, when given), and runs of colliding hashes are scanned
+    to the end, so the result is exact whatever the hash quality.  With
+    *words_buffer* ``None`` the hashes are exact keys: one ``searchsorted``
+    and one equality compare decide.
     """
     targets = _np.full(len(rows), -1, dtype=_np.int64)
     table_size = len(hash_keys)
+    if words_buffer is None:
+        if table_size:
+            position = _np.minimum(_np.searchsorted(hash_keys, hashes),
+                                   table_size - 1)
+            found = hash_keys[position] == hashes
+            targets[found] = hash_idx[position[found]]
+        return targets
     position = _np.searchsorted(hash_keys, hashes)
     open_rows = _np.arange(len(rows), dtype=_np.int64)
     while len(open_rows):
@@ -814,9 +930,10 @@ def _probe_rows(hash_keys, hash_idx, words_buffer, rows, hashes, word_count):
             break
         position = position[candidate]
         indices = hash_idx[position]
-        matches = _np.ones(len(open_rows), dtype=bool)
-        for w in range(word_count):
-            matches &= words_buffer[indices, w] == rows[open_rows, w]
+        stored = words_buffer[indices]
+        if project is not None:
+            stored = project(stored)
+        matches = (stored == rows[open_rows]).all(axis=1)
         targets[open_rows[matches]] = indices[matches]
         # A hash hit with a different row is a collision: step down the run.
         open_rows = open_rows[~matches]
@@ -862,8 +979,11 @@ def explore_batch(compiled, marking=None, max_states=200000, spill=None,
     order, packed edges, parents, frontier and truncation -- built one BFS
     level per step instead of one transition per step.  Each level's
     enabled matrix is recomputed from its rows with the byte lookup tables
-    of :meth:`WordTables.enabled_matrix`; unlike the sequential engine's
-    incremental watch-list masks, nothing is inherited from the parents.
+    of :meth:`WordTables.safe_enabled_matrix`; unlike the sequential
+    engine's incremental watch-list masks, nothing is inherited from the
+    parents.  Successors are fired, deduplicated and probed as exact keys
+    (see the module docstring); full rows are built for admitted states
+    only.
 
     Every array is built in a :class:`~repro.petri.storage.ArrayStore`:
     in RAM they grow geometrically (an uninitialised buffer plus a copy of
@@ -903,6 +1023,8 @@ def explore_batch(compiled, marking=None, max_states=200000, spill=None,
     graph = ColumnarReachabilityGraph(compiled, tables, initial_state)
 
     word_count = tables.words
+    key_words = tables.key_words
+    transition_count = len(compiled.transition_names)
     transition_names = compiled.transition_names
     place_names = compiled.place_names
 
@@ -957,27 +1079,29 @@ def explore_batch(compiled, marking=None, max_states=200000, spill=None,
         level_start = int(progress["level_start"])
         resumed_from = levels
         # The level about to expand is the tail of the state table; the
-        # sorted hash index is derived state, recomputed rather than
+        # sorted key index is derived state, recomputed rather than
         # checkpointed.
         level = _np.ascontiguousarray(words.data[level_start:total])
-        index = SortedIndexStore(pool, "hash", _np.uint64, _np.int64)
-        index.merge(tables.hash_rows(words.data),
+        index = SortedIndexStore(pool, "keys", _np.uint64, _np.int64)
+        index.merge(tables.key_hashes(tables.key_rows(words.data)),
                     _np.arange(total, dtype=_np.int64))
     else:
-        # The graph's columnar arrays, behind the spill pool.  The state
-        # table doubles as the exact-match side of the hash probe.
+        # The graph's columnar arrays, behind the spill pool.  With keys
+        # wider than one word, the state table is the exact-match side of
+        # the probe.
         words = ArrayStore(pool, "words", _np.uint64, columns=word_count)
         parents = ArrayStore(pool, "parents", _np.int64)
         edges = ArrayStore(pool, "edges", _np.int64)
         counts = ArrayStore(pool, "counts", _np.int64)
         frontier = ArrayStore(pool, "frontier", _np.int64)
-        index = SortedIndexStore(pool, "hash", _np.uint64, _np.int64)
+        index = SortedIndexStore(pool, "keys", _np.uint64, _np.int64)
+    level_keys = tables.key_rows(level)
 
     try:
         if restored is None:
             words.append(level)
             parents.append(_np.full(1, -1, dtype=_np.int64))
-            index.merge(tables.hash_rows(level),
+            index.merge(tables.key_hashes(level_keys),
                         _np.zeros(1, dtype=_np.int64))
             if checkpoint:
                 checkpointer = Checkpoint(
@@ -990,42 +1114,51 @@ def explore_batch(compiled, marking=None, max_states=200000, spill=None,
             levels += 1
             level_start = total - len(level)
             phase_started = perf_counter()
-            flat = _np.flatnonzero(tables.enabled_matrix(level))
-            if not len(flat):
-                break
             try:
-                source_local, transition, successor = fire_enabled(
-                    tables, level, flat)
+                enabled = tables.safe_enabled_matrix(level)
             except SafenessOverflowError as overflow:
                 # Report the first offender in expansion order, exactly as
                 # the sequential engine would have -- by name at this level.
                 raise SafenessOverflowError(
                     transition_names[overflow.transition],
                     place_names[overflow.place]) from None
+            flat = _np.flatnonzero(enabled)
+            if not len(flat):
+                break
+            # Fire on keys: projection commutes with the bitwise firing.
+            source_local = flat // transition_count
+            transition = flat - source_local * transition_count
+            successor = fire_rows(level_keys, tables.key_fire, source_local,
+                                  transition)
             source = source_local + level_start
-            hashes = tables.hash_rows(successor)
             provenance = (source << 16) | transition
             timing["fire"] += perf_counter() - phase_started
             phase_started = perf_counter()
 
-            # Intra-level dedup of *all* successors first, so the (more
-            # expensive) probe against the global state table only runs once
-            # per distinct successor.  A sort on the row hashes makes equal
-            # rows adjacent; each group's provenance is the minimum over its
-            # members -- the edge over which the sequential BFS first
-            # discovers that state.
-            (order, group_of_sorted, group_rows, group_hashes,
-             group_provenance) = dedup_rows(successor, hashes, provenance,
-                                            word_count)
+            # Intra-level dedup of *all* successors first, so the probe
+            # against the global state table only runs once per distinct
+            # successor.  A sort on the keys makes equal states adjacent;
+            # each group's provenance is the minimum over its members --
+            # the edge over which the sequential BFS first discovers that
+            # state.
+            (order, group_of_sorted, group_keys, group_hashes,
+             group_provenance) = dedup_rows(
+                successor, tables.key_hashes(successor), provenance,
+                key_words)
             timing["dedup"] += perf_counter() - phase_started
             phase_started = perf_counter()
 
             # Resolve the distinct successors against the globally known
-            # states (exact, hash-accelerated), then admit the unknown ones
-            # in provenance order up to the state budget.
-            group_target = _probe_rows(index.keys, index.idx, words.data,
-                                       group_rows, group_hashes, word_count)
-            pool.note_read(len(group_rows) * word_count * 8)
+            # states, then admit the unknown ones in provenance order up
+            # to the state budget.
+            if key_words == 1:
+                group_target = _probe_rows(index.keys, index.idx, None,
+                                           group_keys, group_hashes)
+            else:
+                group_target = _probe_rows(
+                    index.keys, index.idx, words.data, group_keys,
+                    group_hashes, project=tables.key_rows)
+                pool.note_read(len(group_keys) * word_count * 8)
             fresh_groups = _np.where(group_target < 0)[0]
             timing["probe"] += perf_counter() - phase_started
             phase_started = perf_counter()
@@ -1038,11 +1171,17 @@ def explore_batch(compiled, marking=None, max_states=200000, spill=None,
                     truncated = True
                 group_target[admitted] = total + _np.arange(len(admitted))
                 admitted_provenance = group_provenance[admitted]
-                admitted_rows = group_rows[admitted]
+                # Full rows only for the admitted states, re-fired from
+                # their provenance edge.
+                admitted_rows = fire_rows(
+                    level, tables.fire_tab,
+                    (admitted_provenance >> 16) - level_start,
+                    admitted_provenance & 0xFFFF)
+                level_keys = _np.take(group_keys, admitted, axis=0)
                 parents.append(admitted_provenance)
                 words.append(admitted_rows)
                 total += len(admitted)
-                # Merge the admitted hashes into the sorted hash index (one
+                # Merge the admitted keys into the sorted key index (one
                 # fused placement pass into the index's spare buffer).
                 if len(admitted):
                     index.merge(group_hashes[admitted],
@@ -1104,7 +1243,7 @@ def explore_batch(compiled, marking=None, max_states=200000, spill=None,
         counts.release()
         graph._edge_offsets = offsets.trim()
         graph._frontier_arr = frontier.trim()
-        graph._hash_keys, graph._hash_idx = index.finalize()
+        graph._sorted_keys, graph._sorted_idx = index.finalize()
         if checkpointer is not None:
             # The run completed: nothing is left to resume from.  The live
             # memmap views survive the unlink (the kernel keeps the inodes

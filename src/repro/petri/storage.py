@@ -3,7 +3,7 @@
 The batch and sharded exploration engines build
 :class:`~repro.petri.batch.ColumnarReachabilityGraph` objects out of a
 handful of growable arrays (state words, CSR edges, packed parents, the
-sorted hash index).  This module provides the storage layer underneath
+sorted key index).  This module provides the storage layer underneath
 them:
 
 * :class:`ArrayStore` -- a growable 1-D/2-D NumPy array with geometric
@@ -520,7 +520,7 @@ class ArrayStore:
 
 
 class SortedIndexStore:
-    """The graph's sorted hash index as a pair of double-buffered stores.
+    """The graph's sorted key index as a pair of double-buffered stores.
 
     Keeps ``(keys, idx)`` sorted by key.  :meth:`merge` re-implements
     :func:`repro.petri.batch.merge_sorted_index`'s fused placement, but
@@ -545,7 +545,11 @@ class SortedIndexStore:
         return self._idx[self._front].data
 
     def merge(self, new_keys, new_idx):
-        """Merge sorted-by-key *new* entries into the index (stable placement)."""
+        """Merge *new* entries, in any order, into the index.
+
+        They are sorted by key here first; on equal keys the new entries
+        are placed before the old ones.
+        """
         order = _np.argsort(new_keys)
         new_keys = new_keys[order]
         new_idx = new_idx[order]

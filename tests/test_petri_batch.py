@@ -9,6 +9,7 @@ the same verdicts and witnesses as the pure-int graph.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -29,7 +30,11 @@ from repro.dfs.examples import (
     token_ring,
 )
 from repro.dfs.translation import to_petri_net
-from repro.exceptions import CompilationError, SafenessOverflowError
+from repro.exceptions import (
+    CompilationError,
+    SafenessOverflowError,
+    VerificationError,
+)
 from repro.petri.batch import (
     ColumnarReachabilityGraph,
     WordTables,
@@ -390,6 +395,264 @@ class TestEnabledMatrix:
         assert_identical(sequential, explore_batch(compiled))
 
 
+class TestDisables:
+    """The packed disable table against its pair definition."""
+
+    @pytest.mark.parametrize("allow_conflicts", [True, False])
+    @pytest.mark.parametrize("model", [
+        pytest.param(lambda seed=seed: random_safe_net(seed),
+                     id="random-{}".format(seed)) for seed in range(40)
+    ] + [pytest.param(wide_net, id="wide")])
+    def test_matches_pair_definition(self, model, allow_conflicts):
+        compiled = CompiledNet.compile(model())
+        table = WordTables(compiled).disables(allow_conflicts)
+        need, consume, produce = (compiled.need, compiled.consume,
+                                  compiled.produce)
+        count = len(need)
+        assert table.shape == (count, -(-count // 64))
+        for t1 in range(count):
+            for t2 in range(count):
+                expected = (t1 != t2
+                            and bool(need[t2] & consume[t1] & ~produce[t1])
+                            and not (allow_conflicts
+                                     and consume[t1] & consume[t2]))
+                actual = bool(int(table[t1, t2 >> 6]) >> (t2 & 63) & 1)
+                assert actual == expected, (t1, t2)
+
+
+def thermometer_net(cycles=70, free=2):
+    """A net whose incidence matrix has rank above 64, with few states.
+
+    *cycles* disjoint two-place cycles ``a_i``/``b_i`` start on ``a_i``.
+    Read arcs make them flip in order: cycle ``i`` flips forward only after
+    cycle ``i - 1`` has, and back only while cycle ``i + 1`` has not, so
+    exactly ``cycles + 1`` prefixes are reachable.  *free* further cycles
+    flip at will.  Each cycle adds one to the rank, and the places make
+    three state words.
+    """
+    net = PetriNet("thermometer-{}-{}".format(cycles, free))
+    total = cycles + free
+    for i in range(total):
+        net.add_place("a{}".format(i), tokens=1)
+        net.add_place("b{}".format(i))
+    for i in range(total):
+        forward, back = "up{}".format(i), "down{}".format(i)
+        net.add_transition(forward)
+        net.add_transition(back)
+        net.add_arc("a{}".format(i), forward)
+        net.add_arc(forward, "b{}".format(i))
+        net.add_arc("b{}".format(i), back)
+        net.add_arc(back, "a{}".format(i))
+        if i < cycles:
+            if i > 0:
+                net.add_read_arc("b{}".format(i - 1), forward)
+            if i + 1 < cycles:
+                net.add_read_arc("a{}".format(i + 1), back)
+    return net
+
+
+def incidence_rank(rows):
+    """Rank over the rationals of sparse ``{column: value}`` rows."""
+    pivots = {}
+    for row in rows:
+        row = {column: Fraction(value) for column, value in row.items()
+               if value}
+        while row:
+            column = min(row)
+            if column not in pivots:
+                pivots[column] = row
+                break
+            pivot = pivots[column]
+            factor = row[column] / pivot[column]
+            for other, value in pivot.items():
+                updated = row.get(other, 0) - factor * value
+                if updated:
+                    row[other] = updated
+                else:
+                    row.pop(other, None)
+    return len(pivots)
+
+
+def incidence_row(compiled, place):
+    bit = 1 << place
+    return {t: bool(produce & bit) - bool(consume & bit)
+            for t, (consume, produce)
+            in enumerate(zip(compiled.consume, compiled.produce))}
+
+
+KEY_NETS = EXAMPLE_MODELS + [
+    pytest.param(lambda seed=seed: random_safe_net(seed),
+                 id="random-{}".format(seed))
+    for seed in range(0, 40, 4)
+] + [pytest.param(thermometer_net, id="thermometer")]
+
+
+class _Crash(Exception):
+    pass
+
+
+def crash_at_level(monkeypatch, level):
+    """Make ``explore_batch`` die after appending BFS level *level*."""
+    import repro.petri.batch as batch_module
+    seen = []
+
+    def trigger(name, site=None):
+        if name == "kill_worker" and site == "level":
+            seen.append(site)
+            if len(seen) == level:
+                raise _Crash()
+        return False
+
+    monkeypatch.setattr(batch_module._faults, "trigger", trigger)
+    return seen
+
+
+class TestExactKeys:
+    """States are keyed by their projection onto an incidence row basis."""
+
+    @staticmethod
+    def _net(model):
+        built = model()
+        return built if isinstance(built, PetriNet) else to_petri_net(built)
+
+    @pytest.mark.parametrize("model", KEY_NETS)
+    def test_basis_spans_and_keys_are_distinct(self, model):
+        compiled = CompiledNet.compile(self._net(model))
+        tables = WordTables(compiled)
+        places = len(compiled.place_names)
+        rows = [incidence_row(compiled, p) for p in range(places)]
+        basis = tables.key_places
+        assert basis == sorted(set(basis))
+        # Independent basis rows whose span holds every incidence row.
+        assert incidence_rank([rows[p] for p in basis]) == len(basis)
+        assert incidence_rank(rows) == len(basis)
+        assert tables.key_words == max(1, -(-len(basis) // 64))
+        graph = explore_batch(compiled)
+        keys = tables.key_rows(graph._words)
+        assert keys.shape == (len(graph), tables.key_words)
+        assert len(np.unique(keys, axis=0)) == len(graph)
+        # Keys are the basis bits of each state, in basis order.
+        for state, key in zip(graph._mask_states[:50], keys[:50]):
+            assert words_to_int(key) == sum(
+                (state >> place & 1) << position
+                for position, place in enumerate(basis))
+
+    def test_thermometer_needs_wide_keys(self):
+        tables = WordTables(CompiledNet.compile(thermometer_net()))
+        assert len(tables.key_places) == 72
+        assert tables.words == 3 and tables.key_words == 2
+
+    @pytest.mark.parametrize("max_states", [1, 2, 5, 17, 100, 200000])
+    def test_wide_keys_bit_identical(self, max_states):
+        compiled = CompiledNet.compile(thermometer_net())
+        sequential = explore_compiled(compiled, max_states=max_states)
+        batch = explore_batch(compiled, max_states=max_states)
+        assert_identical(sequential, batch, "max_states={}".format(max_states))
+        assert len(batch) == min(max_states, 71 * 4)
+        for marking in sequential.states[:40]:
+            assert batch.trace_to(marking) == sequential.trace_to(marking)
+
+    @pytest.mark.parametrize("max_states", [100, 200000])
+    def test_wide_keys_resume_bit_identical(self, tmp_path, monkeypatch,
+                                            max_states):
+        compiled = CompiledNet.compile(thermometer_net())
+        sequential = explore_compiled(compiled, max_states=max_states)
+        checkpoint = str(tmp_path / "ckpt")
+        seen = crash_at_level(monkeypatch, 10)
+        with pytest.raises(_Crash):
+            explore_batch(compiled, max_states=max_states,
+                          checkpoint=checkpoint)
+        monkeypatch.undo()
+        assert len(seen) == 10
+        resumed = explore_batch(compiled, max_states=max_states,
+                                checkpoint=checkpoint)
+        assert resumed.exploration_stats["checkpoint"][
+            "resumed_from_level"] == 9
+        assert_identical(sequential, resumed, "resumed")
+        assert resumed.trace_to(sequential.states[-1]) == \
+            sequential.trace_to(sequential.states[-1])
+
+    @pytest.mark.parametrize("model", [
+        pytest.param(lambda: build_pipeline_model(2, static_prefix=1),
+                     id="ope2"),
+        pytest.param(lambda: random_safe_net(3), id="random-3"),
+        pytest.param(thermometer_net, id="thermometer"),
+    ])
+    def test_unreachable_marking_sharing_a_key(self, model):
+        compiled = CompiledNet.compile(self._net(model))
+        graph = explore_batch(compiled)
+        tables = graph.tables
+        basis = set(tables.key_places)
+        dependent = [p for p in range(len(compiled.place_names))
+                     if p not in basis]
+        assert dependent
+        reachable = set(graph._mask_states)
+        checked = 0
+        for state in graph._mask_states[:20]:
+            for place in dependent[:5]:
+                twin = state ^ (1 << place)
+                assert twin not in reachable
+                assert (tables.key_rows(tables.encode_rows([twin]))
+                        == tables.key_rows(tables.encode_rows([state]))).all()
+                marking = compiled.decode(twin)
+                assert graph._index_of(marking) is None
+                assert marking not in graph
+                assert not graph.is_expanded(marking)
+                with pytest.raises(VerificationError):
+                    graph.trace_to(marking)
+                checked += 1
+        assert checked
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_overflow_offender_like_compiled(self, seed):
+        """The per-state overflow check names the sequential offender."""
+        compiled, expected = leaky_net(seed)
+        with pytest.raises(SafenessOverflowError) as actual:
+            explore_batch(compiled)
+        assert (actual.value.transition, actual.value.place) == \
+            (expected.transition, expected.place)
+
+    @pytest.mark.parametrize("seed", [1, 5, 9])
+    def test_sharded_workers_report_an_overflow(self, seed):
+        """Shard workers run the same check; any worker may report first."""
+        from repro.parallel.sharded import explore_sharded
+        compiled, _ = leaky_net(seed)
+        with pytest.raises(SafenessOverflowError) as actual:
+            explore_sharded(compiled, max_states=200000, workers=2)
+        transition = compiled.transition_names.index(
+            actual.value.transition)
+        place = compiled.place_names.index(actual.value.place)
+        spilled = compiled.produce[transition] & ~compiled.consume[transition]
+        assert spilled >> place & 1
+
+
+def leaky_net(seed):
+    """A generated net made unsafe by leaks, and its sequential overflow.
+
+    Leaks read or take a token from one place and put one into another,
+    added until the compiled engine overflows -- in a leak, or in a
+    transition moving a token a leak added.  Returns ``(compiled net,
+    SafenessOverflowError)``.
+    """
+    net = random_safe_net(seed)
+    rng = random.Random(seed)
+    places = sorted(net.places)
+    for leak in range(20):
+        name = "leak{}".format(leak)
+        net.add_transition(name)
+        if leak % 2:
+            net.add_read_arc(rng.choice(places), name)
+        else:
+            net.add_arc(rng.choice(places), name)
+        net.add_arc(name, rng.choice(places))
+        compiled = CompiledNet.compile(net)
+        try:
+            explore_compiled(compiled)
+        except SafenessOverflowError as overflow:
+            return compiled, overflow
+    raise AssertionError("no leak overflowed")
+
+
 class TestEngineSelection:
     def test_auto_prefers_batch_when_numpy_present(self):
         net = to_petri_net(linear_pipeline(stages=1))
@@ -498,12 +761,12 @@ class TestPrimitives:
     def test_hash_collisions_stay_exact(self, monkeypatch):
         """Force every row hash equal: dedup and probes must stay exact.
 
-        Only meaningful on multi-word nets -- single-word rows are their
-        own (collision-free) hash by construction.
+        Only meaningful where the engine hashes: on keys wider than one
+        word -- one-word keys are exact by construction.  The thermometer
+        net's keys take two words, so it runs the hash-and-verify path.
         """
-        net = to_petri_net(build_pipeline_model(3, static_prefix=1))
-        compiled = CompiledNet.compile(net)
-        assert WordTables(compiled).words >= 2
+        compiled = CompiledNet.compile(thermometer_net())
+        assert WordTables(compiled).key_words >= 2
         # Bounded: with every hash colliding the probes degrade to linear
         # scans, which is exactly the (slow but exact) path under test.
         sequential = explore_compiled(compiled, max_states=2000)
