@@ -304,6 +304,9 @@ class CampaignScheduler:
         self._events_queue = None
         self._drainer = None
         if self.parallelism > 0:
+            # Every job runs in a fresh worker process: load the engine
+            # (and NumPy) once here, so forked workers inherit it.
+            import repro.petri.batch  # noqa: F401
             self._pool = SupervisorPool(self.parallelism, timeout=timeout)
             self._events_queue = self._pool.context.Queue()
             self._drainer = threading.Thread(

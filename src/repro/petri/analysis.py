@@ -8,8 +8,6 @@ every transition, so each such pair must appear as a place invariant.
 
 from fractions import Fraction
 
-import numpy as np
-
 
 def incidence_matrix(net):
     """Return ``(matrix, place_names, transition_names)``.
@@ -17,6 +15,8 @@ def incidence_matrix(net):
     ``matrix[i][j]`` is the net token change of place ``i`` when transition
     ``j`` fires (produced minus consumed).  Read arcs do not contribute.
     """
+    import numpy as np
+
     place_names = sorted(net.places)
     transition_names = sorted(net.transitions)
     place_index = {name: i for i, name in enumerate(place_names)}

@@ -1,22 +1,16 @@
-"""Shared utilities: naming, graph algorithms and serialization helpers."""
+"""Shared utilities: naming and serialization helpers.
+
+The graph algorithms live in :mod:`repro.utils.graphs`; import them from
+there.
+"""
 
 from repro.utils.naming import NameRegistry, is_valid_name, make_unique
-from repro.utils.graphs import (
-    enumerate_simple_cycles,
-    reachable_from,
-    strongly_connected_components,
-    topological_order,
-)
 from repro.utils.serialization import dump_json, load_json
 
 __all__ = [
     "NameRegistry",
     "is_valid_name",
     "make_unique",
-    "enumerate_simple_cycles",
-    "reachable_from",
-    "strongly_connected_components",
-    "topological_order",
     "dump_json",
     "load_json",
 ]

@@ -44,8 +44,6 @@ decide -- still works through a portfolio without special cases.
 """
 
 from repro.exceptions import ConfigurationError
-from repro.parallel.context import in_daemon_worker
-from repro.parallel.supervisor import run_supervised
 from repro.verification.checkers.base import (
     CHECKERS,
     Checker,
@@ -113,8 +111,10 @@ class PortfolioChecker(Checker):
         ]
 
     def check(self, query, max_witnesses=5):
-        if self.race and len(self.members) > 1 and not in_daemon_worker():
-            return self._check_racing(query, max_witnesses)
+        if self.race and len(self.members) > 1:
+            from repro.parallel.context import in_daemon_worker
+            if not in_daemon_worker():
+                return self._check_racing(query, max_witnesses)
         return self._check_rotation(query, max_witnesses)
 
     # -- budgeted rotation (shared artefacts, deterministic) ------------------
@@ -134,6 +134,9 @@ class PortfolioChecker(Checker):
     # -- true racing (separate processes, losers cancelled) -------------------
 
     def _check_racing(self, query, max_witnesses):
+        import repro.petri.batch  # noqa: F401  (inherited by forked members)
+        from repro.parallel.supervisor import run_supervised
+
         context = self.context
         tasks = [
             (name, _race_member,

@@ -29,10 +29,6 @@ from repro.exceptions import (
     SolverUnavailableError,
 )
 from repro.petri.invariants import proves_bound
-from repro.smt.bmc import run_bmc
-from repro.smt.encoder import SmtEncoder
-from repro.smt.ic3 import run_ic3
-from repro.smt.kinduction import run_kinduction
 from repro.verification.checkers.base import Checker, register_checker
 
 
@@ -68,6 +64,7 @@ class SolverBackedChecker(Checker):
             semiflows, self.context.net.places, bound=1)
 
     def _encoder(self, safe):
+        from repro.smt.encoder import SmtEncoder
         return SmtEncoder(self.context.net, safe=safe)
 
     @staticmethod
@@ -198,6 +195,7 @@ class BmcChecker(SolverBackedChecker):
         bad = self._bad_builder(encoder, query)
         if bad is None:
             return None
+        from repro.smt.bmc import run_bmc
         return run_bmc(encoder, bad, max_depth=self.max_depth,
                        semiflows=self.context.semiflows,
                        timeout=self.timeout)
@@ -227,6 +225,7 @@ class KInductionChecker(SolverBackedChecker):
         bad = self._bad_builder(encoder, query)
         if bad is None:
             return None
+        from repro.smt.kinduction import run_kinduction
         return run_kinduction(encoder, bad, max_depth=self.max_depth,
                               semiflows=self.context.semiflows,
                               simple_path=self.simple_path,
@@ -275,6 +274,7 @@ class Ic3Checker(SolverBackedChecker):
         if bad is None:
             return None
         initial = self.context.net.initial_marking()
+        from repro.smt.ic3 import run_ic3
         result = run_ic3(
             encoder, bad(0), initial_bad=self._bad_marking(query, initial),
             semiflows=self.context.semiflows, max_frames=self.max_frames,

@@ -55,15 +55,9 @@ from repro.exceptions import (
     ConfigurationError,
     SafenessOverflowError,
 )
-from repro.petri.batch import (
-    WordTables,
-    compile_row_predicate,
-    numpy_available,
-)
 from repro.petri.compiled import iter_bits
 from repro.reach.cubes import to_cubes
 from repro.reach.evaluator import compile_mask_predicate, marking_predicate
-from repro.verification.checkers import walk_batch
 from repro.verification.checkers.base import Checker, register_checker
 from repro.verification.checkers.walk_core import (
     NearMissPool,
@@ -98,6 +92,7 @@ def resolve_walk_backend(requested="auto"):
                 requested, ", ".join(WALK_BACKENDS)))
     if requested == "scalar":
         return "scalar"
+    from repro.petri.batch import numpy_available
     if numpy_available():
         return "batch"
     return "batch-unavailable" if requested == "batch" else "scalar"
@@ -248,6 +243,9 @@ class RandomWalkChecker(Checker):
     def _swarm_hunt(self, compiled, initial, kind, max_witnesses, expression,
                     cube_masks, score_kind, stop_in_deadlock,
                     overflow_conclusive):
+        from repro.petri.batch import WordTables, compile_row_predicate
+        from repro.verification.checkers import walk_batch
+
         if self._tables is None:
             self._tables = WordTables(compiled)
         tables = self._tables

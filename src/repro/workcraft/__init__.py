@@ -10,20 +10,17 @@ exposes the same operations programmatically:
 * :mod:`repro.workcraft.plugins` -- a registry describing the model types the
   tool understands and the operations available on each;
 * :mod:`repro.workcraft.export`  -- exporters (DOT, JSON, Petri-net ``.g``,
-  Verilog) addressed by format name;
+  Verilog) addressed by format name (import it from there: it is not
+  re-exported, so the CLI starts without the circuit library);
 * :mod:`repro.workcraft.cli`     -- the ``repro-dfs`` command-line interface
   (validate, verify, simulate, analyse, translate, export, info).
 """
 
 from repro.workcraft.project import Project
 from repro.workcraft.plugins import PluginRegistry, default_registry
-from repro.workcraft.export import available_formats, dfs_to_dot, export_model
 
 __all__ = [
     "PluginRegistry",
     "Project",
-    "available_formats",
     "default_registry",
-    "dfs_to_dot",
-    "export_model",
 ]

@@ -21,6 +21,14 @@ to a running verification daemon instead of a local pool.
 :mod:`repro.service` (submit, poll, stream events, fetch reports), with
 single-flight result reuse, per-tenant cache namespaces, backpressure and
 rate limits.
+
+Exit codes: 0 when every check passes, 1 on a violation or an inconclusive
+verdict, 2 on a usage error or a failure that is not a verdict (a model file
+that cannot be read, a crashed campaign worker).
+
+Start-up matters for the small models most runs check, so this module
+imports only what every verb needs; each handler imports the rest of what
+its verb runs.
 """
 
 import argparse
@@ -28,16 +36,12 @@ import os
 import sys
 
 from repro._version import __version__
-from repro.campaign import ScenarioSpec, generate_scenarios, run_campaign
-from repro.campaign.jobs import DEFAULT_PROPERTIES, FACTORIES
 from repro.dfs.examples import conditional_comp_dfs, token_ring
 from repro.dfs.serialization import dfs_from_json
-from repro.dfs.simulation import DfsSimulator
-from repro.dfs.validation import has_errors, validate_structure
-from repro.performance.analyzer import PerformanceAnalyzer
+from repro.exceptions import ReproError, SerializationError
 from repro.verification.checkers import CHECKERS
 from repro.verification.verifier import CUSTOM_PROPERTIES, Verifier
-from repro.workcraft.export import available_formats, export_model
+from repro.workcraft.export import available_formats
 
 #: Default on-disk verdict cache of ``repro-dfs campaign``.
 DEFAULT_CAMPAIGN_CACHE = ".repro-campaign-cache"
@@ -53,6 +57,8 @@ def _load_model(args):
         return _EXAMPLES[args.example]()
     if not args.model:
         raise SystemExit("either a model file or --example must be given")
+    if not os.path.isfile(args.model):
+        raise SerializationError("no such model file: {}".format(args.model))
     return dfs_from_json(args.model)
 
 
@@ -74,6 +80,8 @@ def _command_info(args):
 
 
 def _command_validate(args):
+    from repro.dfs.validation import has_errors, validate_structure
+
     dfs = _load_model(args)
     issues = validate_structure(dfs)
     if not issues:
@@ -151,6 +159,8 @@ def _command_verify(args):
 
 
 def _command_simulate(args):
+    from repro.dfs.simulation import DfsSimulator
+
     dfs = _load_model(args)
     simulator = DfsSimulator(dfs)
     fired = simulator.run_random(args.steps, seed=args.seed)
@@ -164,6 +174,8 @@ def _command_simulate(args):
 
 
 def _command_analyse(args):
+    from repro.performance.analyzer import PerformanceAnalyzer
+
     dfs = _load_model(args)
     report = PerformanceAnalyzer(dfs).analyse(slowest_count=args.slowest)
     print(report.render())
@@ -171,6 +183,8 @@ def _command_analyse(args):
 
 
 def _command_export(args):
+    from repro.workcraft.export import export_model
+
     dfs = _load_model(args)
     text = export_model(dfs, args.format)
     if args.output:
@@ -244,9 +258,18 @@ def _parse_custom_properties(entries):
 
 
 def _command_campaign(args):
+    from repro.campaign import ScenarioSpec, generate_scenarios, run_campaign
+    from repro.campaign.jobs import DEFAULT_PROPERTIES, FACTORIES
+
+    # Not argparse ``choices``: FACTORIES would load the campaign stack
+    # for every verb, at parse time.
+    if args.family not in FACTORIES:
+        args.parser.error("argument --family: invalid choice: {!r} (choose from {})"
+                          .format(args.family, ", ".join(sorted(FACTORIES))))
     axes = _parse_grid(args.grid)
     custom = _parse_custom_properties(args.custom)
-    properties = [name.strip() for name in args.properties.split(",") if name.strip()]
+    listed = ",".join(DEFAULT_PROPERTIES) if args.properties is None else args.properties
+    properties = [name.strip() for name in listed.split(",") if name.strip()]
     known = set(Verifier.PROPERTY_CHECKS) | set(custom) | set(CUSTOM_PROPERTIES)
     unknown = [name for name in properties if name not in known]
     if unknown or not properties:
@@ -434,11 +457,11 @@ def build_parser():
                           help="comma list of LFSR stimulus seeds (e.g. 0xACE1)")
     campaign.add_argument("--voltages", default=None,
                           help="comma list of supply voltages (e.g. 1.2,0.5)")
-    campaign.add_argument("--family", choices=sorted(FACTORIES), default="pipeline",
+    campaign.add_argument("--family", default="pipeline",
                           help="model family to sweep (default pipeline)")
-    campaign.add_argument("--properties", default=",".join(DEFAULT_PROPERTIES),
-                          help="comma list of checks (default {})".format(
-                              ",".join(DEFAULT_PROPERTIES)))
+    campaign.add_argument("--properties", default=None,
+                          help="comma list of checks (default: the standard "
+                               "ones but persistence)")
     campaign.add_argument("--engine",
                           choices=("auto", "batch", "compiled", "explicit"),
                           default="auto")
@@ -497,7 +520,7 @@ def build_parser():
     campaign.add_argument("--strict", action="store_true",
                           help="fail on inconclusive (truncated) verdicts too")
     campaign.add_argument("--quiet", action="store_true")
-    campaign.set_defaults(handler=_command_campaign)
+    campaign.set_defaults(handler=_command_campaign, parser=campaign)
 
     serve = subparsers.add_parser(
         "serve", help="run the verification service daemon (HTTP/JSON API)")
@@ -546,7 +569,11 @@ def main(argv=None):
     """CLI entry point."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.handler(args)
+    try:
+        return args.handler(args)
+    except ReproError as error:
+        print("error: {}".format(error), file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

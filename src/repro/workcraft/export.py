@@ -8,8 +8,6 @@ from repro.dfs.translation import to_petri_net
 from repro.petri.export import to_dot as petri_to_dot
 from repro.petri.export import to_g_format
 from repro.petri.net import PetriNet
-from repro.circuits.mapping import map_dfs_to_netlist
-from repro.circuits.verilog import to_verilog
 
 #: Shapes used when rendering DFS node types (mirroring the tool's icons).
 _NODE_SHAPES = {
@@ -46,28 +44,28 @@ def dfs_to_dot(dfs, graph_name=None, highlight=()):
     return "\n".join(lines) + "\n"
 
 
-#: Export format registry: format name -> (description, callable(model) -> text).
-_EXPORTERS = {
-    "dot": ("Graphviz DOT drawing of a DFS or Petri-net model", None),
-    "json": ("JSON document of a DFS model", None),
-    "pn-dot": ("Graphviz DOT drawing of the Petri-net translation", None),
-    "g": ("petrify/MPSAT .g file of the Petri-net translation", None),
-    "verilog": ("structural Verilog netlist of the mapped circuit", None),
+#: Export formats: format name -> description.
+_FORMATS = {
+    "dot": "Graphviz DOT drawing of a DFS or Petri-net model",
+    "json": "JSON document of a DFS model",
+    "pn-dot": "Graphviz DOT drawing of the Petri-net translation",
+    "g": "petrify/MPSAT .g file of the Petri-net translation",
+    "verilog": "structural Verilog netlist of the mapped circuit",
 }
 
 
 def available_formats():
     """Return ``{format name: description}`` of the supported export formats."""
-    return {name: description for name, (description, _) in _EXPORTERS.items()}
+    return dict(_FORMATS)
 
 
 def export_model(model, format_name):
     """Export *model* (a DFS or a Petri net) in the requested format."""
     format_name = format_name.lower()
-    if format_name not in _EXPORTERS:
+    if format_name not in _FORMATS:
         raise SerializationError(
             "unknown export format {!r}; available: {}".format(
-                format_name, ", ".join(sorted(_EXPORTERS))))
+                format_name, ", ".join(sorted(_FORMATS))))
     if isinstance(model, PetriNet):
         if format_name in ("dot", "pn-dot"):
             return petri_to_dot(model)
@@ -87,5 +85,7 @@ def export_model(model, format_name):
     if format_name == "g":
         return to_g_format(to_petri_net(model))
     if format_name == "verilog":
+        from repro.circuits.mapping import map_dfs_to_netlist
+        from repro.circuits.verilog import to_verilog
         return to_verilog(map_dfs_to_netlist(model))
     raise SerializationError("unhandled export format {!r}".format(format_name))

@@ -1,5 +1,10 @@
 """Tests for the tool layer: exporters, plugin registry, projects and the CLI."""
 
+import json
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.exceptions import ModelError, SerializationError
@@ -130,3 +135,74 @@ class TestCli:
     def test_missing_model_argument_errors(self):
         with pytest.raises(SystemExit):
             cli_main(["info"])
+
+    @pytest.mark.parametrize("command", ["info", "verify"])
+    def test_missing_model_file_is_an_error_line(self, command, tmp_path, capsys):
+        missing = str(tmp_path / "no" / "such" / "file.json")
+        assert cli_main([command, missing]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: no such model file: {}\n".format(missing)
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ["info", "verify"])
+    @pytest.mark.parametrize("text, message", [
+        ("{not json", "malformed JSON document"),
+        (json.dumps({"format": "something-else", "version": 1}),
+         "expected a 'repro-dfs' document, found 'something-else'"),
+    ])
+    def test_unreadable_model_is_an_error_line(self, command, text, message,
+                                               tmp_path, capsys):
+        path = tmp_path / "model.json"
+        path.write_text(text, encoding="utf-8")
+        assert cli_main([command, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert err.count("\n") == 1
+
+    def test_unknown_campaign_family_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            cli_main(["campaign", "--family", "bogus", "--jobs", "0", "--no-cache"])
+        assert info.value.code == 2
+        assert "argument --family: invalid choice: 'bogus'" in capsys.readouterr().err
+
+
+def _run_python(argv, **env):
+    """Run a fresh interpreter on this checkout; returns the completed process."""
+    source = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+    environ = dict(os.environ, **env)
+    environ["PYTHONPATH"] = os.pathsep.join(filter(None, [source, environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable] + argv, capture_output=True, text=True,
+                          env=environ, timeout=300)
+
+
+def _run_cli(args, **env):
+    return _run_python(["-m", "repro.workcraft.cli"] + args, **env)
+
+
+class TestCliProcess:
+    """The CLI as users start it: a fresh interpreter per command."""
+
+    def test_import_loads_no_verb_only_modules(self):
+        run = _run_python(["-c", "import sys, repro.workcraft.cli; print(*sorted(sys.modules))"])
+        assert run.returncode == 0, run.stderr
+        loaded = set(run.stdout.split())
+        heavy = ("numpy", "networkx", "repro.campaign", "repro.smt",
+                 "repro.service", "repro.circuits")
+        assert "repro.workcraft.cli" in loaded
+        assert [name for name in heavy if name in loaded] == []
+
+    def test_verify_output_does_not_depend_on_the_engine(self):
+        default = _run_cli(["verify", "--example", "conditional"])
+        scalar = _run_cli(["verify", "--example", "conditional"], REPRO_NO_NUMPY="1")
+        assert default.returncode == scalar.returncode == 0
+        assert default.stdout == scalar.stdout
+
+    @pytest.mark.parametrize("command", ["analyse", "validate"])
+    def test_output_does_not_depend_on_the_hash_seed(self, command, tmp_path):
+        from repro.campaign.jobs import build_pipeline_model
+
+        path = str(tmp_path / "ope3s_p1.json")
+        dfs_to_json(build_pipeline_model(stages=3, static_prefix=1), path=path)
+        runs = [_run_cli([command, path], PYTHONHASHSEED=seed) for seed in "012"]
+        assert [run.returncode for run in runs] == [0, 0, 0]
+        assert runs[0].stdout and runs[0].stdout == runs[1].stdout == runs[2].stdout
